@@ -1392,7 +1392,7 @@ let cb_shard_server ~metrics own g phi ~shard =
   let config =
     {
       Nd_server.default_config with
-      Nd_server.owner = Some (COwn.owner own ~shard);
+      Nd_server.ownership = Some (COwn.for_shard own ~shard);
     }
   in
   Nd_server.create ~config eng
@@ -1672,7 +1672,7 @@ let ob_json () =
       let config =
         {
           Nd_server.default_config with
-          Nd_server.owner = Some (COwn.owner own ~shard);
+          Nd_server.ownership = Some (COwn.for_shard own ~shard);
           event_log = (if armed then Some ignore else None);
           flight;
         }

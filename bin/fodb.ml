@@ -600,7 +600,7 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
   (* cluster mode: the ownership map comes from the BOOT graph — before
      journal replay or any mutation — so every worker and the router
      derive the identical partition no matter when they (re)started *)
-  let owner =
+  let ownership =
     if shard_count <= 1 then None
     else begin
       if shard_index < 0 || shard_index >= shard_count then
@@ -608,7 +608,7 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
                               --shard-count %d" shard_index shard_count;
       let own = Nd_cluster.Ownership.compute g ~shards:shard_count in
       Printf.eprintf "fodb serve: shard %d/%d\n%!" shard_index shard_count;
-      Some (Nd_cluster.Ownership.owner own ~shard:shard_index)
+      Some (Nd_cluster.Ownership.for_shard own ~shard:shard_index)
     end
   in
   (* the recovery journal: every mutation applied in a previous worker
@@ -702,7 +702,8 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
       max_line_bytes;
       retry_after_ms;
       journal;
-      owner;
+      ownership;
+      owner = None;
       flight = Option.map (fun fl line -> Nd_obs.Flight.record fl line) flight_rec;
     }
   in

@@ -35,7 +35,12 @@ let parse_tuple s =
 (* ---------------- Ownership ---------------- *)
 
 module Ownership = struct
-  type t = { shards : int; n : int; shard_of : int array }
+  type t = {
+    shards : int;
+    n : int;
+    shard_of : int array;
+    per_shard : Nd_server.ownership array;
+  }
 
   (* Home bags dealt round-robin: deterministic given the boot graph,
      so every fleet process derives the identical partition.  Totality
@@ -53,7 +58,12 @@ module Ownership = struct
         let cov = Nd_nowhere.Cover.compute g ~r in
         Array.map (fun bag -> bag mod shards) cov.Nd_nowhere.Cover.assigned
     in
-    { shards; n; shard_of }
+    let per_shard =
+      Array.init shards (fun s ->
+          Nd_server.ownership_of_vertices ~n ~owns_empty:(s = 0) (fun v ->
+              shard_of.(v) = s))
+    in
+    { shards; n; shard_of; per_shard }
 
   let shards t = t.shards
   let n t = t.n
@@ -64,13 +74,16 @@ module Ownership = struct
     else t.shard_of.(v)
 
   let shard_of_tuple t tup =
-    if Array.length tup = 0 then 0 else shard_of_vertex t tup.(0)
+    if Array.length tup = 0 || tup.(0) < 0 || tup.(0) >= t.n then 0
+    else t.shard_of.(tup.(0))
 
-  let owner t ~shard tup =
-    if Array.length tup = 0 then shard = 0
-    else
-      let v = tup.(0) in
-      v >= 0 && v < t.n && t.shard_of.(v) = shard
+  let for_shard t ~shard =
+    if shard < 0 || shard >= t.shards then
+      invalid_arg
+        (Printf.sprintf "Ownership.for_shard: shard %d out of range" shard);
+    t.per_shard.(shard)
+
+  let owner t ~shard = Nd_server.owns (for_shard t ~shard)
 end
 
 (* ---------------- Merge ---------------- *)
@@ -826,18 +839,36 @@ module Router = struct
         Nd_error.invariantf "shard %d: bad next reply %S" sh
           (String.concat "/" other)
 
+  (* The shard a request for [tup] goes to first.  A tuple the engine
+     will reject (wrong arity, or a first coordinate out of range) goes
+     to shard 0, whose engine words the error exactly as a single node
+     does. *)
+  let route (rs : shared) tup =
+    if Array.length tup <> rs.arity then 0
+    else Ownership.shard_of_tuple rs.own tup
+
+  (* Owner first: every other shard's solutions >= [tup] have a first
+     coordinate above [tup.(0)], so an owner answer that keeps
+     [tup.(0)] is the global minimum.  Otherwise the rest are asked and
+     the minimum taken, reusing the owner's answer. *)
   let fan_next t tup =
     let rs = t.rs in
-    let best = ref None in
-    for sh = 0 to Ownership.shards rs.own - 1 do
-      match group_next t sh tup with
-      | None -> ()
-      | Some sol -> (
-          match !best with
-          | None -> best := Some sol
-          | Some b -> if Tuple.compare sol b < 0 then best := Some sol)
-    done;
-    !best
+    let owner = route rs tup in
+    let first = group_next t owner tup in
+    match first with
+    | Some sol when Array.length sol = 0 || sol.(0) = tup.(0) -> first
+    | _ ->
+        let best = ref first in
+        for sh = 0 to Ownership.shards rs.own - 1 do
+          if sh <> owner then
+            match group_next t sh tup with
+            | None -> ()
+            | Some sol -> (
+                match !best with
+                | None -> best := Some sol
+                | Some b -> if Tuple.compare sol b < 0 then best := Some sol)
+        done;
+        !best
 
   let page t k =
     let rs = t.rs in
@@ -1094,8 +1125,7 @@ module Router = struct
           ]
     | "test" ->
         let tup = parse_tuple arg in
-        let sh = Ownership.shard_of_tuple rs.own tup in
-        `Ok (group_call rs sh ("test " ^ fmt_tuple tup))
+        `Ok (group_call rs (route rs tup) ("test " ^ fmt_tuple tup))
     | "enumerate" -> `Ok (cmd_enumerate t arg)
     | "update" -> `Ok (cmd_update t line (parse_muts "update" arg))
     | "batch-update" -> `Ok (cmd_update t line (parse_muts "batch-update" arg))

@@ -6,7 +6,7 @@
     solution space of a query partitions by the home bag of a tuple's
     first coordinate.  A fleet of shard workers — each an ordinary
     {!Nd_server} over its own prepared handle, answering only the
-    solutions it owns (see {!Nd_server.config.owner}) — therefore emits
+    solutions it owns (see {!Nd_server.config.ownership}) — therefore emits
     disjoint, strictly-ascending sub-streams of the single-node
     lexicographic solution order, and a router reconstitutes the exact
     single-node answer stream with a duplicate-free ascending k-way
@@ -89,13 +89,19 @@
     is identical fleet-wide and stable across restarts: mutations
     change answers, never ownership.  Totality and disjointness do not
     depend on cover quality, so the partition stays exact even as
-    mutations degrade the cover's locality. *)
+    mutations degrade the cover's locality.
+
+    Because ownership is by first coordinate only, both sides of a
+    fan-out can skip: a shard that meets a foreign solution jumps to
+    its next owned vertex ({!for_shard}), and the router asks the owner
+    of a request's first coordinate before anyone else. *)
 module Ownership : sig
   type t
 
   val compute : ?r:int -> Nd_graph.Cgraph.t -> shards:int -> t
-  (** Cover the boot graph at radius [r] (default 1) and deal home bags
-      to [shards] round-robin.
+  (** Cover the boot graph at radius [r] (default 1), deal home bags
+      to [shards] round-robin, and precompute each shard's
+      {!Nd_server.ownership} (one [(n+1)]-int array per shard).
       @raise Invalid_argument when [shards < 1] or [r < 1]. *)
 
   val shards : t -> int
@@ -106,11 +112,19 @@ module Ownership : sig
 
   val shard_of_tuple : t -> int array -> int
   (** The owning shard: [shard_of_vertex] of the first coordinate; [0]
-      for the empty tuple. *)
+      for the empty tuple and for a first coordinate out of range (a
+      tuple no engine accepts, so shard 0's engine rejects it). *)
+
+  val for_shard : t -> shard:int -> Nd_server.ownership
+  (** Shard [shard]'s slice, to install as
+      {!Nd_server.config.ownership}: [next_owned v] is the smallest
+      vertex [>= v] the shard owns, and [owns_empty] holds for shard 0
+      only.
+      @raise Invalid_argument when [shard] is out of range. *)
 
   val owner : t -> shard:int -> int array -> bool
-  (** The predicate to install as {!Nd_server.config.owner} on shard
-      [shard]. *)
+  (** Membership in shard [shard]'s slice: [Nd_server.owns (for_shard t
+      ~shard)]. *)
 end
 
 (** The duplicate-free ascending lexicographic k-way merge, pull-driven

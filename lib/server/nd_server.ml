@@ -22,6 +22,23 @@ let m_backlog_drained = Metrics.counter "server.backlog_drained"
 let m_updates = Metrics.counter "server.updates"
 let h_latency = Metrics.hist "server.request_us"
 
+type ownership = { next_owned : int -> int option; owns_empty : bool }
+
+(* [next.(v)]: the smallest owned vertex >= v, [n] when there is none —
+   filled by one right-to-left pass *)
+let ownership_of_vertices ~n ~owns_empty owned =
+  let next = Array.make (n + 1) n in
+  for v = n - 1 downto 0 do
+    next.(v) <- (if owned v then v else next.(v + 1))
+  done;
+  let next_owned v =
+    if v >= n then None
+    else
+      let w = next.(max v 0) in
+      if w < n then Some w else None
+  in
+  { next_owned; owns_empty }
+
 type config = {
   request_budget_ops : int option;
   request_timeout_ms : int option;
@@ -35,6 +52,7 @@ type config = {
   max_line_bytes : int;
   retry_after_ms : int;
   journal : (string -> unit) option;
+  ownership : ownership option;
   owner : (int array -> bool) option;
   flight : (string -> unit) option;
 }
@@ -53,6 +71,7 @@ let default_config =
     max_line_bytes = 65536;
     retry_after_ms = 100;
     journal = None;
+    ownership = None;
     owner = None;
     flight = None;
   }
@@ -95,6 +114,7 @@ type shared = {
 type t = {
   eng : Nd_engine.t;
   config : config;
+  own : ownership option;
   sh : shared;
   mutable cursor : cursor;
   mutable quit : bool;
@@ -116,9 +136,29 @@ let create ?(config = default_config) eng =
   pos_opt "max_conns" config.max_conns;
   pos_opt "io_timeout_ms" config.io_timeout_ms;
   pos_opt "idle_timeout_ms" config.idle_timeout_ms;
+  let own =
+    match (config.ownership, config.owner) with
+    | Some _, Some _ ->
+        invalid_arg "Nd_server.create: set ownership or owner, not both"
+    | own, None -> own
+    | None, Some p ->
+        (* the predicate is asked about (v,0,…,0) once per vertex *)
+        let arity = Nd_engine.arity eng in
+        let probe v =
+          let a = Array.make arity 0 in
+          a.(0) <- v;
+          a
+        in
+        Some
+          (ownership_of_vertices
+             ~n:(Nd_graph.Cgraph.n (Nd_engine.graph eng))
+             ~owns_empty:(p [||])
+             (fun v -> arity > 0 && p (probe v)))
+  in
   {
     eng;
     config;
+    own;
     sh =
       {
         lock = Mutex.create ();
@@ -199,30 +239,52 @@ let with_request_budget t f =
 
 (* ---------------- commands ---------------- *)
 
-(* Shard-mode answering: with [config.owner] set, only solutions the
-   predicate owns are reported.  [next]/[enumerate] skip past foreign
-   solutions by advancing through the full lexicographic order, so each
-   shard's stream is the owned sub-stream of the global one — strictly
-   ascending and duplicate-free by construction, which is what lets the
-   router's k-way merge reconstitute the exact single-node order.
-   Mutations are unaffected: every shard absorbs the full journal and
-   tracks the whole graph; ownership only filters answering. *)
-let owns t sol =
-  match t.config.owner with None -> true | Some own -> own sol
+(* Shard-mode answering: with an ownership set, only solutions whose
+   first coordinate the shard owns are reported, so each shard's stream
+   is the owned sub-stream of the global one — strictly ascending and
+   duplicate-free by construction, which is what lets the router's
+   k-way merge reconstitute the exact single-node order.  Mutations are
+   unaffected: every shard absorbs the full journal and tracks the
+   whole graph; ownership only filters answering. *)
+let owns own sol =
+  if Array.length sol = 0 then own.owns_empty
+  else
+    match own.next_owned sol.(0) with Some v -> v = sol.(0) | None -> false
 
+let owns_tuple t sol =
+  match t.own with None -> true | Some own -> owns own sol
+
+(* A foreign solution [sol] rules out its whole first coordinate, so
+   the walk resumes at [(next_owned (sol.(0)+1), 0, …, 0)]: one engine
+   call per owned vertex without solutions, never one per foreign
+   solution.  A valid start tuple with a foreign first coordinate jumps
+   before the first call; an invalid one goes to the engine as is, so
+   its error is the single-node one. *)
 let owned_next t a =
-  match t.config.owner with
+  match t.own with
   | None -> Nd_engine.next t.eng a
   | Some own ->
+      let arity = Nd_engine.arity t.eng in
       let n = Nd_graph.Cgraph.n (Nd_engine.graph t.eng) in
-      let rec go a =
-        match Nd_engine.next t.eng a with
+      let rec from v =
+        match own.next_owned v with
         | None -> None
-        | Some sol when own sol -> Some sol
-        | Some sol -> (
-            match Tuple.succ ~n sol with None -> None | Some a' -> go a')
+        | Some w ->
+            let a = Array.make arity 0 in
+            a.(0) <- w;
+            go a
+      and go a =
+        match Nd_engine.next t.eng a with
+        | Some sol when not (owns own sol) ->
+            if arity = 0 then None else from (sol.(0) + 1)
+        | r -> r
       in
-      go a
+      let valid =
+        arity > 0
+        && Array.length a = arity
+        && Array.for_all (fun x -> x >= 0 && x < n) a
+      in
+      if valid && not (owns own a) then from a.(0) else go a
 
 (* The enumeration cursor: each page continues from where the last one
    ended, but the cursor is only advanced once the whole page has been
@@ -236,7 +298,7 @@ let page t k =
     | Exhausted -> ([], true)
     | Unstarted | At _ ->
         let sols =
-          if Nd_engine.holds eng && owns t [||] then [ [||] ] else []
+          if Nd_engine.holds eng && owns_tuple t [||] then [ [||] ] else []
         in
         t.cursor <- Exhausted;
         (sols, true))
@@ -363,7 +425,8 @@ let dispatch t line =
       (* engine validation first, ownership second: a malformed tuple is
          [err user] on every shard, never a silent [false] *)
       let r =
-        with_request_budget t (fun () -> Nd_engine.test t.eng tup && owns t tup)
+        with_request_budget t (fun () ->
+            Nd_engine.test t.eng tup && owns_tuple t tup)
       in
       `Ok [ string_of_bool r ]
   | "enumerate" -> `Ok (cmd_enumerate t arg)

@@ -166,6 +166,27 @@
     Under overload the server therefore degrades by shedding loudly,
     never by queueing silently. *)
 
+type ownership = {
+  next_owned : int -> int option;
+      (** [next_owned v]: the smallest owned vertex [>= v], or [None]
+          when every owned vertex is below [v] *)
+  owns_empty : bool;  (** whether the arity-0 solution [[||]] is owned *)
+}
+(** A shard's slice of the solution space, by first coordinate: a
+    non-empty tuple is owned iff [next_owned tup.(0) = Some tup.(0)].
+    Only the first coordinate can matter, which is what makes skipping
+    a foreign first coordinate wholesale sound. *)
+
+val ownership_of_vertices :
+  n:int -> owns_empty:bool -> (int -> bool) -> ownership
+(** [ownership_of_vertices ~n ~owns_empty owned] owns the vertices
+    [v < n] with [owned v], precomputed by one right-to-left pass over
+    an [(n+1)]-int array. *)
+
+val owns : ownership -> int array -> bool
+(** [owns o tup]: [o.owns_empty] for [[||]], else whether [tup.(0)] is
+    an owned vertex ([false] when it is out of range). *)
+
 type config = {
   request_budget_ops : int option;
       (** ops ceiling installed around every single request *)
@@ -201,15 +222,25 @@ type config = {
   journal : (string -> unit) option;
       (** sink appended one wire-syntax mutation per {e applied}
           mutation — the recovery journal; [None] disables it *)
-  owner : (int array -> bool) option;
-      (** shard mode: when set, [next]/[enumerate] report only solutions
-          the predicate owns (skipping foreign ones through the full
-          lexicographic order, so the owned stream stays strictly
-          ascending and duplicate-free), and [test] answers [false] for
-          a valid tuple this shard does not own.  Mutations and the
-          journal are unaffected — every shard tracks the whole graph.
-          [None] (default): serve everything.  See {!Nd_cluster} for the
+  ownership : ownership option;
+      (** shard mode: when set, [next]/[enumerate] report only the
+          solutions whose first coordinate the shard owns, and [test]
+          answers [false] for a valid tuple this shard does not own.
+          The owned stream stays strictly ascending and duplicate-free.
+          A foreign solution rules out its whole first coordinate, so
+          [next] resumes at the next owned vertex rather than at the
+          solution's successor: one engine call per owned vertex
+          without solutions.  Mutations and the journal are unaffected —
+          every shard tracks the whole graph.  [None] (default): serve
+          everything.  See {!Nd_cluster.Ownership.for_shard} for the
           partition this hosts. *)
+  owner : (int array -> bool) option;
+      (** the older form of [ownership], kept for callers that still
+          pass a predicate: {!create} asks it about [(v,0,…,0)] once per
+          vertex [v] and about [[||]], and serves exactly as if that
+          answer table were the [ownership].  A predicate that looks at
+          later coordinates is therefore read as its first-coordinate
+          restriction.  Setting both fields is an error. *)
   flight : (string -> unit) option;
       (** the crash flight recorder's sink: one event-log row per
           handled request, extended with the engine epoch (grammar
@@ -229,7 +260,8 @@ type t
 val create : ?config:config -> Nd_engine.t -> t
 (** @raise Invalid_argument on a non-positive [max_enumerate],
     [max_line_bytes], [max_inflight], [max_conns], [io_timeout_ms] or
-    [idle_timeout_ms], or a negative [retry_after_ms]. *)
+    [idle_timeout_ms], a negative [retry_after_ms], or both
+    [ownership] and [owner] set. *)
 
 val session : t -> t
 (** A new session sharing [t]'s engine, config, locks, stop flag

@@ -28,7 +28,7 @@ let shard_server own ~shard =
   let config =
     {
       Server.default_config with
-      Server.owner = Some (Ownership.owner own ~shard);
+      Server.ownership = Some (Ownership.for_shard own ~shard);
     }
   in
   (Server.create ~config eng, eng)
@@ -146,8 +146,11 @@ let test_ownership_validation () =
   (match Ownership.compute g ~shards:0 with
   | _ -> Alcotest.fail "shards=0 accepted"
   | exception Invalid_argument _ -> ());
-  match Ownership.compute ~r:0 g ~shards:2 with
+  (match Ownership.compute ~r:0 g ~shards:2 with
   | _ -> Alcotest.fail "r=0 accepted"
+  | exception Invalid_argument _ -> ());
+  match Ownership.for_shard (Ownership.compute g ~shards:2) ~shard:2 with
+  | _ -> Alcotest.fail "shard 2 of 2 accepted"
   | exception Invalid_argument _ -> ()
 
 (* ---------------- the k-way merge ---------------- *)
@@ -563,6 +566,253 @@ let test_stale_replica_never_served () =
   Alcotest.(check bool) "no-fence mode serves the stale epoch" true
     (got = expected_solutions ())
 
+(* ---------------- owned streams ---------------- *)
+
+(* A fleet of one replica per shard over [g]/[phi]; all shards share
+   one engine (answers do not depend on its cache). *)
+let fleet_on ?(config = rconfig ()) g phi ~shards =
+  let eng = Nd_engine.prepare g phi in
+  let own = Ownership.compute g ~shards in
+  let servers =
+    Array.init shards (fun shard ->
+        Server.create
+          ~config:
+            {
+              Server.default_config with
+              Server.ownership = Some (Ownership.for_shard own ~shard);
+            }
+          eng)
+  in
+  let eps =
+    List.init shards (fun s ->
+        Router.local_endpoint ~shard:s ~label:(Printf.sprintf "s%d" s)
+          servers.(s))
+  in
+  let rt =
+    Router.create ~config ~ownership:own ~arity:(Nd_engine.arity eng) eps
+  in
+  (eng, own, servers, rt)
+
+let fmt_tup t = String.concat "," (List.map string_of_int (Array.to_list t))
+
+(* the [next] verb of a server or router, parsed *)
+let next_via handle a =
+  match handle ("next " ^ fmt_tup a) with
+  | [ "none"; "ok" ] -> None
+  | [ one; "ok" ] when starts "sol " one ->
+      let p = String.sub one 4 (String.length one - 4) in
+      Some (if p = "" then [||] else tuple_of_payload p)
+  | r -> Alcotest.failf "next %s: %s" (fmt_tup a) (String.concat "|" r)
+
+(* The one-by-one walk shard mode used to do: the oracle for the jump. *)
+let walk_next eng ~owned a =
+  let n = Cgraph.n (Nd_engine.graph eng) in
+  let rec go a =
+    match Nd_engine.next eng a with
+    | None -> None
+    | Some sol when owned sol -> Some sol
+    | Some sol -> (
+        match Tuple.succ ~n sol with None -> None | Some a' -> go a')
+  in
+  go a
+
+(* every [next]-walk answer of a server, from the smallest tuple *)
+let stream_of handle ~n ~arity =
+  let rec go acc = function
+    | None -> List.rev acc
+    | Some a -> (
+        match next_via handle a with
+        | None -> List.rev acc
+        | Some sol -> go (sol :: acc) (Tuple.succ ~n sol))
+  in
+  if arity > 0 && n = 0 then [] else go [] (Some (Tuple.min arity))
+
+let owned_stream_queries =
+  [|
+    "exists x y. E(x,y) & C1(y)";
+    "C0(x) & (exists z. E(x,z) & C1(z))";
+    "dist(x,y) > 2 & C1(y)";
+    "dist(x,y) <= 1";
+    "E(x,y) & dist(y,z) <= 1 & C0(z)";
+  |]
+
+let prop_owned_streams =
+  QCheck.Test.make
+    ~name:"owned streams: jump = one-by-one walk, partition, router minimum"
+    ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0x0c0de |] in
+      let fams = Array.of_list Gen.families in
+      let fam = fams.(Random.State.int st (Array.length fams)) in
+      let g =
+        Gen.randomly_color ~seed ~colors:3
+          (fam.Gen.build (8 + Random.State.int st 25))
+      in
+      let n = Cgraph.n g in
+      let q =
+        owned_stream_queries.(Random.State.int st
+                                (Array.length owned_stream_queries))
+      in
+      let shards = [| 1; 2; 3; 5 |].(Random.State.int st 4) in
+      let eng, own, servers, rt =
+        fleet_on g (Nd_logic.Parse.formula q) ~shards
+      in
+      let arity = Nd_engine.arity eng in
+      let shard_handle s = Server.handle (Server.session servers.(s)) in
+      let ctx = Printf.sprintf "%s n=%d %S shards=%d" fam.Gen.name n q shards in
+      (* each shard's stream: disjoint, and their union is the
+         single-node stream *)
+      let streams =
+        List.init shards (fun s -> stream_of (shard_handle s) ~n ~arity)
+      in
+      let union = List.sort Tuple.compare (List.concat streams) in
+      if union <> Nd_engine.to_list eng then
+        QCheck.Test.fail_reportf "%s: shard streams do not partition the answers"
+          ctx;
+      if n > 0 || arity = 0 then
+        for _ = 1 to 25 do
+          let a =
+            Array.init arity (fun _ -> Random.State.int st (max n 1))
+          in
+          let answers =
+            List.init shards (fun s ->
+                let got = next_via (shard_handle s) a in
+                let want =
+                  walk_next eng ~owned:(Ownership.owner own ~shard:s) a
+                in
+                if got <> want then
+                  QCheck.Test.fail_reportf "%s: shard %d next %s differs" ctx s
+                    (fmt_tup a);
+                got)
+          in
+          let least =
+            List.fold_left
+              (fun b x ->
+                match (b, x) with
+                | None, x | x, None -> x
+                | Some b, Some x -> Some (if Tuple.compare x b < 0 then x else b))
+              None answers
+          in
+          if next_via (Router.handle rt) a <> least then
+            QCheck.Test.fail_reportf "%s: router next %s is not the minimum" ctx
+              (fmt_tup a)
+        done;
+      true)
+
+(* Regression: routed replies are byte-identical to a single
+   node for valid, maximal, out-of-range, negative and wrong-arity
+   tuples — error replies included (they used to carry the router's
+   own Ownership message for an out-of-range first coordinate). *)
+let test_routed_replies_match_single_node () =
+  let g = Gen.randomly_color ~seed:1 ~colors:3 (Gen.grid 10 10) in
+  let phi = Nd_logic.Parse.formula "dist(x,y) > 2 & C1(y)" in
+  let single_eng = Nd_engine.prepare g phi in
+  let lines =
+    List.concat_map
+      (fun tup -> [ "next " ^ tup; "test " ^ tup ])
+      [
+        "0,0"; "5,17"; "42,3"; "99,99"; "99,0"; "100,0"; "-1,5"; "3,100";
+        "3,-2"; "7"; "1,2,3"; ""; "x,1";
+      ]
+    @ [ "enumerate 3"; "enumerate 4"; "enumerate 0"; "enumerate -1";
+        "enumerate x"; "reset"; "enumerate 5" ]
+  in
+  List.iter
+    (fun shards ->
+      let _, _, _, rt = fleet_on g phi ~shards in
+      (* a fresh server per fleet, so the rid counters line up *)
+      let single = Server.create single_eng in
+      List.iter
+        (fun line ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d shards: %s" shards line)
+            (Server.handle single line) (Router.handle rt line))
+        lines)
+    [ 2; 3 ]
+
+(* The predicate form of the config is read at first coordinates and
+   serves exactly like the ownership it describes. *)
+let test_owner_predicate_compat () =
+  let g = Gen.randomly_color ~seed:3 ~colors:3 (Gen.grid 6 6) in
+  let eng = Nd_engine.prepare g (Nd_logic.Parse.formula "dist(x,y) > 2 & C1(y)") in
+  let own = Ownership.compute g ~shards:3 in
+  let n = Cgraph.n g in
+  for shard = 0 to 2 do
+    let serve config = Server.handle (Server.create ~config eng) in
+    let by_pred =
+      serve
+        { Server.default_config with owner = Some (Ownership.owner own ~shard) }
+    and by_own =
+      serve
+        {
+          Server.default_config with
+          ownership = Some (Ownership.for_shard own ~shard);
+        }
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "shard %d: same stream" shard)
+      true
+      (stream_of by_pred ~n ~arity:2 = stream_of by_own ~n ~arity:2)
+  done;
+  match
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          owner = Some (Ownership.owner own ~shard:0);
+          ownership = Some (Ownership.for_shard own ~shard:0);
+        }
+      eng
+  with
+  | _ -> Alcotest.fail "both ownership forms accepted"
+  | exception Invalid_argument _ -> ()
+
+(* Cost gate: from a foreign first coordinate, a shard pays
+   at most one engine [next] per owned vertex it passes over, plus
+   one — the one-by-one walk paid one per foreign solution and fails
+   this by two orders of magnitude. *)
+let test_owned_next_cost () =
+  let g = Gen.randomly_color ~seed:1 ~colors:3 (Gen.grid 30 30) in
+  let n = Cgraph.n g in
+  let phi = Nd_logic.Parse.formula "dist(x,y) > 2 & C1(y)" in
+  let eng, own, servers, _ = fleet_on g phi ~shards:2 in
+  let handle = Server.handle (Server.session servers.(1)) in
+  let engine_nexts () =
+    match List.assoc_opt "enum.delay_ops" (Nd_engine.stats eng).hists with
+    | Some h -> h.Nd_util.Metrics.count
+    | None -> 0
+  in
+  let was_on = Nd_util.Metrics.enabled () in
+  Nd_util.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_on then Nd_util.Metrics.disable ())
+    (fun () ->
+      let foreign =
+        List.filter
+          (fun v -> Ownership.shard_of_vertex own v <> 1)
+          (List.init n Fun.id)
+      in
+      Alcotest.(check bool) "shard 0 owns something" true (foreign <> []);
+      List.iteri
+        (fun i u ->
+          if i mod 7 = 0 then begin
+            let before = engine_nexts () in
+            let got = next_via handle [| u; 0 |] in
+            let calls = engine_nexts () - before in
+            let stop = match got with Some s -> s.(0) | None -> n in
+            let skipped = ref 0 in
+            for v = u + 1 to stop - 1 do
+              if Ownership.shard_of_vertex own v = 1 then incr skipped
+            done;
+            if calls > !skipped + 1 then
+              Alcotest.failf
+                "next %d,0 on shard 1: %d engine calls for %d skipped owned \
+                 vertices"
+                u calls !skipped
+          end)
+        foreign)
+
 (* Event rows for ordinary requests mirror the server's shape. *)
 let test_event_rows_shape () =
   let events = ref [] in
@@ -627,4 +877,11 @@ let suite =
     Alcotest.test_case "stale replica never served" `Quick
       test_stale_replica_never_served;
     Alcotest.test_case "event rows shape" `Quick test_event_rows_shape;
+    QCheck_alcotest.to_alcotest prop_owned_streams;
+    Alcotest.test_case "routed replies = single node, errors included" `Quick
+      test_routed_replies_match_single_node;
+    Alcotest.test_case "owned next: engine calls per skipped vertex" `Quick
+      test_owned_next_cost;
+    Alcotest.test_case "owner predicate = ownership" `Quick
+      test_owner_predicate_compat;
   ]

@@ -305,7 +305,7 @@ let test_router_trace_in_process () =
     let config =
       {
         Server.default_config with
-        Server.owner = Some (Ownership.owner own ~shard);
+        Server.ownership = Some (Ownership.for_shard own ~shard);
       }
     in
     Server.create ~config eng
@@ -398,7 +398,7 @@ let test_router_scrape_aggregates_fleet () =
     let config =
       {
         Server.default_config with
-        Server.owner = Some (Ownership.owner own ~shard);
+        Server.ownership = Some (Ownership.for_shard own ~shard);
       }
     in
     Server.create ~config eng
