@@ -1,151 +1,12 @@
 (* Validate BENCH_engine.json against the nd-engine-bench/1 schema.
 
-   Used by `make bench-smoke` and CI.  The repo deliberately has no
-   JSON dependency, so this carries a minimal recursive-descent parser
-   sufficient for the subset the bench emits (objects, arrays, strings
-   with simple escapes, numbers, booleans, null).
+   Used by `make bench-smoke` and CI.  The file is read with the
+   repo's own JSON reader, Nd_trace.Json.
 
    Usage:  check_schema.exe [BENCH_engine.json]
    Exits 0 when the file parses and satisfies the schema, 1 otherwise. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-          | Some 'u' ->
-              (* keep the escape verbatim; fidelity is irrelevant here *)
-              advance ();
-              for _ = 1 to 4 do
-                (match peek () with Some _ -> advance () | None -> fail "bad \\u")
-              done;
-              Buffer.add_char b '?';
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let literal word v =
-    if !pos + String.length word <= len && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
+open Nd_trace.Json
 
 (* ---------------- schema checks ---------------- *)
 
@@ -723,10 +584,11 @@ let () =
       exit 1
   in
   let j =
-    try parse doc
-    with Parse_error e ->
-      Printf.eprintf "%s: JSON parse error: %s\n" file e;
-      exit 1
+    match parse doc with
+    | Ok j -> j
+    | Error e ->
+        Printf.eprintf "%s: JSON parse error: %s\n" file e;
+        exit 1
   in
   (match get_str "$" j "schema" with
   | Some "nd-engine-bench/1" -> ()

@@ -586,6 +586,15 @@ let ensure_dir d =
 
 let flight_path dir name = Filename.concat dir (name ^ ".flight.jsonl")
 
+(* SIGINT/SIGTERM ask the serving loop to stop gracefully: in-flight
+   replies finish, connections get [bye], then the loop returns *)
+let stop_on_signals stop =
+  try
+    let h = Sys.Signal_handle (fun _ -> stop ()) in
+    Sys.set_signal Sys.sigint h;
+    Sys.set_signal Sys.sigterm h
+  with Invalid_argument _ | Sys_error _ -> ()
+
 let serve_worker spec query colors seed epsilon snapshot_file socket backlog
     request_budget_ops request_timeout_ms max_enumerate chaos event_log_file
     no_metrics trace jobs max_inflight max_conns io_timeout_ms idle_timeout_ms
@@ -708,11 +717,7 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
     }
   in
   let srv = Nd_server.create ~config eng in
-  (try
-     let stop _ = Nd_server.request_stop srv in
-     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
-   with Invalid_argument _ | Sys_error _ -> ());
+  stop_on_signals (fun () -> Nd_server.request_stop srv);
   (match socket with
   | Some path -> Nd_server.serve_socket ~backlog srv ~path
   | None -> Nd_server.serve srv stdin stdout);
@@ -1015,6 +1020,14 @@ let metrics_listener rt ~path ~stop =
       try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
     ()
 
+(* The router's verbs through the server's own loop: the socket
+   transport returns only once every connection thread is joined *)
+let serve_router rt ~socket ~backlog =
+  let svc = Nd_cluster.Router.service in
+  match socket with
+  | Some path -> Nd_server.serve_socket_with svc ~backlog rt ~path
+  | None -> Nd_server.serve_with svc rt stdin stdout
+
 (* The fleet front-end over already-running shard workers: same line
    protocol as serve, answers reconstituted by the epoch-fenced k-way
    merge.  The ownership map is re-derived from the boot graph, which
@@ -1048,22 +1061,15 @@ let router spec query colors seed shards endpoints socket backlog
       ~event_log
   in
   let rt = Nd_cluster.Router.create ~config ~ownership:own ~arity eps in
-  (try
-     let stop _ = Nd_cluster.Router.request_stop rt in
-     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
-   with Invalid_argument _ | Sys_error _ -> ());
+  stop_on_signals (fun () -> Nd_cluster.Router.request_stop rt);
   let prober = Nd_cluster.Router.start_probes rt in
   let mstop = ref false in
   let mthread =
     Option.map (fun path -> metrics_listener rt ~path ~stop:mstop)
       metrics_socket
   in
-  (match socket with
-  | Some path -> Nd_cluster.Router.serve_socket ~backlog rt ~path
-  | None -> Nd_cluster.Router.serve rt stdin stdout);
+  serve_router rt ~socket ~backlog;
   Nd_cluster.Router.request_stop rt;
-  ignore (Nd_cluster.Router.drain rt);
   Option.iter Thread.join prober;
   mstop := true;
   Option.iter Thread.join mthread;
@@ -1287,7 +1293,6 @@ let cluster spec query colors seed epsilon shards replicas dir socket backlog
   in
   let finish () =
     Nd_cluster.Router.request_stop rt;
-    ignore (Nd_cluster.Router.drain rt);
     Option.iter Thread.join prober;
     mstop := true;
     Option.iter Thread.join mthread;
@@ -1300,14 +1305,8 @@ let cluster spec query colors seed epsilon shards replicas dir socket backlog
     print_router_stats "fodb cluster" rt
   in
   if not differential then begin
-    (try
-       let stop _ = Nd_cluster.Router.request_stop rt in
-       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (match socket with
-    | Some path -> Nd_cluster.Router.serve_socket ~backlog rt ~path
-    | None -> Nd_cluster.Router.serve rt stdin stdout);
+    stop_on_signals (fun () -> Nd_cluster.Router.request_stop rt);
+    serve_router rt ~socket ~backlog;
     finish ()
   end
   else begin

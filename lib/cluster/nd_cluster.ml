@@ -1,36 +1,12 @@
 open Nd_util
 
-(* Router-side mirror counters; the authoritative counts live on the
-   router's shared record so `health` works with instrumentation off. *)
-let m_requests = Metrics.counter "router.requests"
-let m_ok = Metrics.counter "router.replies_ok"
-let m_err_user = Metrics.counter "router.errors.user"
-let m_unavailable = Metrics.counter "router.errors.unavailable"
+(* Router-side counters beyond the shared envelope's (Nd_server.meters:
+   requests, replies, errors by class, latency) *)
+let meters = Nd_server.meters "router"
 let m_failovers = Metrics.counter "router.failovers"
 let m_fence_refusals = Metrics.counter "router.fence_refusals"
 let m_catchups = Metrics.counter "router.catchups"
 let m_probes = Metrics.counter "router.probes"
-let h_latency = Metrics.hist "router.request_us"
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let fmt_tuple a =
-  String.concat "," (Array.to_list (Array.map string_of_int a))
-
-let parse_tuple s =
-  if String.trim s = "" then [||]
-  else
-    Array.of_list
-      (List.map
-         (fun field ->
-           match int_of_string_opt (String.trim field) with
-           | Some v -> v
-           | None ->
-               Nd_error.user_errorf
-                 "bad tuple %S (expected comma-separated integers)" s)
-         (String.split_on_char ',' s))
 
 (* ---------------- Ownership ---------------- *)
 
@@ -153,7 +129,7 @@ end
 module Router = struct
   module Client = Nd_server.Client
 
-  type conn = {
+  type conn = Client.conn = {
     transport : Client.transport;
     read_reply : float -> string list option;
     close : unit -> unit;
@@ -168,91 +144,11 @@ module Router = struct
   let endpoint ~shard ~label dial =
     { ep_shard = shard; ep_label = label; ep_dial = dial }
 
-  (* Buffered fd transport with a read-one-reply primitive.  Channels
-     would hide buffered bytes from select, which the handshake's
-     resync probe needs; this reader owns its buffer. *)
-  let fd_conn fd =
-    let buf = Buffer.create 256 in
-    let chunk = Bytes.create 4096 in
-    let take_line () =
-      let s = Buffer.contents buf in
-      match String.index_opt s '\n' with
-      | None -> None
-      | Some i ->
-          Buffer.clear buf;
-          Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-          let last = if i > 0 && s.[i - 1] = '\r' then i - 1 else i in
-          Some (String.sub s 0 last)
-    in
-    (* `Line / `Timeout / raises on EOF and hard errors so the caller's
-       transport classification fires *)
-    let recv_line ~deadline =
-      let rec loop () =
-        match take_line () with
-        | Some l -> `Line l
-        | None -> (
-            let now = Unix.gettimeofday () in
-            if now >= deadline then `Timeout
-            else
-              match Unix.select [ fd ] [] [] (Float.min 0.5 (deadline -. now)) with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-              | [], _, _ -> loop ()
-              | _ -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-                  | 0 -> raise End_of_file
-                  | n ->
-                      Buffer.add_subbytes buf chunk 0 n;
-                      loop ()))
-      in
-      loop ()
-    in
-    let is_terminator l = l = "ok" || l = "bye" || starts_with "err " l in
-    let read_rest first =
-      (* the rest of a started reply gets a generous fixed deadline *)
-      let deadline = Unix.gettimeofday () +. 600. in
-      let rec go acc =
-        let l =
-          match recv_line ~deadline with
-          | `Line l -> l
-          | `Timeout -> raise (Sys_error "reply stalled")
-        in
-        let acc = l :: acc in
-        if is_terminator l then List.rev acc else go acc
-      in
-      if is_terminator first then [ first ] else go [ first ]
-    in
-    let send_line s =
-      let msg = s ^ "\n" in
-      let len = String.length msg in
-      let rec go off =
-        if off < len then
-          match Unix.write_substring fd msg off (len - off) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-          | n -> go (off + n)
-      in
-      go 0
-    in
-    {
-      transport =
-        (fun req ->
-          send_line req;
-          match recv_line ~deadline:(Unix.gettimeofday () +. 600.) with
-          | `Line l -> read_rest l
-          | `Timeout -> raise (Sys_error "reply stalled"));
-      read_reply =
-        (fun wait ->
-          match recv_line ~deadline:(Unix.gettimeofday () +. wait) with
-          | `Line l -> Some (read_rest l)
-          | `Timeout -> None);
-      close = (fun () -> try Unix.close fd with Unix.Unix_error _ -> ());
-    }
-
   let socket_endpoint ?connect ~shard path =
     endpoint ~shard ~label:path (fun () ->
         match Client.connect ?policy:connect path with
         | Error m -> Error m
-        | Ok fd -> Ok (fd_conn fd))
+        | Ok fd -> Ok (Client.fd_conn fd))
 
   let local_endpoint ~shard ~label srv =
     endpoint ~shard ~label (fun () ->
@@ -318,17 +214,9 @@ module Router = struct
     arity : int;
     cfg : config;
     groups : group array;
-    lock : Mutex.t;
-    adm : Mutex.t;
-    stop : bool ref;
-    mutable inflight : int;
     mutable serial : int;
     mutable fleet_epoch : int;  (* -1 until first contact *)
     mutable journal : (int * string) list;
-    mutable c_requests : int;
-    mutable c_ok : int;
-    mutable c_user : int;
-    mutable c_unavailable : int;
     mutable c_failovers : int;
     mutable c_fence_refusals : int;
     mutable c_catchups : int;
@@ -338,7 +226,15 @@ module Router = struct
 
   type cursor = Unstarted | At of int array | Exhausted
 
-  type t = { rs : shared; mutable cursor : cursor; mutable quit : bool }
+  (* [gate] is the shared envelope's state: the request lock every
+     dispatch (and every probe and scrape) runs under, the stop flag
+     and the request/reply tallies *)
+  type t = {
+    rs : shared;
+    gate : Nd_server.gate;
+    mutable cursor : cursor;
+    mutable quit : bool;
+  }
 
   type stats = {
     requests : int;
@@ -354,15 +250,12 @@ module Router = struct
     fenced : int;
   }
 
-  exception Unavailable of int
-  exception Shard_error of string * string
-
   let create ?(config = default_config) ~ownership ~arity endpoints =
     (* the router writes to upstream sockets whose worker may die at
        any moment; a broken pipe must surface as EPIPE (a transport
        error → failover), never as a fatal signal — and that holds for
        in-process use (tests, the differential harness) too, not just
-       for serve_socket *)
+       under the socket transport *)
     (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
      with Invalid_argument _ | Sys_error _ -> ());
     if arity < 0 then invalid_arg "Router.create: arity must be >= 0";
@@ -403,70 +296,61 @@ module Router = struct
               (Printf.sprintf "Router.create: shard %d has no endpoint" sh);
           { reps = Array.of_list reps; pref = 0 })
     in
+    let rs =
+      {
+        own = ownership;
+        arity;
+        cfg = config;
+        groups;
+        serial = 0;
+        fleet_epoch = -1;
+        journal = [];
+        c_failovers = 0;
+        c_fence_refusals = 0;
+        c_catchups = 0;
+        c_probes = 0;
+        pull_hist =
+          Nd_obs.Lhist.create ~name:"nd_router_pull_us"
+            ~help:"Per-shard merge-pull latency (microseconds)." ~label:"shard"
+            ();
+      }
+    in
     {
-      rs =
-        {
-          own = ownership;
-          arity;
-          cfg = config;
-          groups;
-          lock = Mutex.create ();
-          adm = Mutex.create ();
-          stop = ref false;
-          inflight = 0;
-          serial = 0;
-          fleet_epoch = -1;
-          journal = [];
-          c_requests = 0;
-          c_ok = 0;
-          c_user = 0;
-          c_unavailable = 0;
-          c_failovers = 0;
-          c_fence_refusals = 0;
-          c_catchups = 0;
-          c_probes = 0;
-          pull_hist =
-            Nd_obs.Lhist.create ~name:"nd_router_pull_us"
-              ~help:"Per-shard merge-pull latency (microseconds)." ~label:"shard"
-              ();
-        };
+      rs;
+      gate =
+        Nd_server.gate meters
+          ~epoch:(fun () -> rs.fleet_epoch)
+          { Nd_server.default_config with event_log = config.event_log };
       cursor = Unstarted;
       quit = false;
     }
 
   let session t = { t with cursor = Unstarted; quit = false }
   let quitting t = t.quit
-  let request_stop t = t.rs.stop := true
+  let request_stop t = Nd_server.stop t.gate
 
-  (* ---------------- event log ---------------- *)
+  (* ---------------- event rows and reply errors ---------------- *)
 
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let ev (rs : shared) ?shard ?(span = 0) ~rid ~cmd ~status ~latency_us ~lines
-      () =
-    match rs.cfg.event_log with
-    | None -> ()
-    | Some sink ->
+  (* a lifecycle row: shard-scoped, outside any request *)
+  let ev (rs : shared) ~shard ~cmd ~status ~lines =
+    Option.iter
+      (fun sink ->
         sink
-          (Printf.sprintf
-             "{\"ts_us\":%d,\"rid\":%d,\"span\":%d,\"cmd\":\"%s\",\"status\":\"%s\",\"latency_us\":%d,\"lines\":%d%s}"
-             (Nd_obs.now_us ()) rid span (json_escape cmd) status latency_us
-             lines
-             (match shard with
-             | None -> ""
-             | Some s -> Printf.sprintf ",\"shard\":%d" s))
+          (Nd_server.event_row ~ts_us:(Nd_obs.now_us ()) ~rid:0 ~span:0 ~cmd
+             ~status ~latency_us:0 ~lines ~shard ()))
+      rs.cfg.event_log
+
+  let unavailable (rs : shared) sh =
+    raise
+      (Nd_server.Reply_error
+         {
+           cls = "unavailable";
+           msg =
+             Printf.sprintf
+               "shard=%d retry-after-ms=%d no live replica at fleet epoch" sh
+               rs.cfg.retry_after_ms;
+           shard = Some sh;
+         })
 
   (* ---------------- replica plumbing ---------------- *)
 
@@ -490,8 +374,7 @@ module Router = struct
     (match rep.r_state with
     | Fenced _ -> ()
     | Live ->
-        ev rs ~shard:rep.r_shard ~rid:0 ~cmd:"(fence)" ~status:"fenced"
-          ~latency_us:0 ~lines:0 ());
+        ev rs ~shard:rep.r_shard ~cmd:"(fence)" ~status:"fenced" ~lines:0);
     rep.r_state <- Fenced reason
 
   let readmit (rs : shared) rep =
@@ -499,8 +382,7 @@ module Router = struct
     | Live -> ()
     | Fenced _ ->
         rep.r_state <- Live;
-        ev rs ~shard:rep.r_shard ~rid:0 ~cmd:"(readmit)" ~status:"ok"
-          ~latency_us:0 ~lines:0 ()
+        ev rs ~shard:rep.r_shard ~cmd:"(readmit)" ~status:"ok" ~lines:0
 
   (* The connect handshake doubles as the epoch read and as the resync
      against injected garbage: garbage merged into our first line (or
@@ -610,16 +492,20 @@ module Router = struct
   let body lines =
     match List.rev lines with _terminator :: rev -> List.rev rev | [] -> []
 
-  (* strip the shard's own rid=/span= join keys off a relayed error
-     message: the router re-stamps its own *)
-  let strip_keys msg =
-    let rec go = function
+  (* A shard's deterministic verdict, relayed with the shard's own
+     rid=/span= join keys stripped: the envelope re-stamps the
+     router's *)
+  let shard_error cls msg =
+    let rec strip = function
       | tok :: rest
-        when starts_with "rid=" tok || starts_with "span=" tok ->
-          go rest
+        when String.starts_with ~prefix:"rid=" tok
+             || String.starts_with ~prefix:"span=" tok ->
+          strip rest
       | toks -> String.concat " " toks
     in
-    go (String.split_on_char ' ' msg)
+    raise
+      (Nd_server.Reply_error
+         { cls; msg = strip (String.split_on_char ' ' msg); shard = None })
 
   let update_reply_epoch lines =
     match lines with first :: _ -> epoch_of_line first | [] -> None
@@ -656,8 +542,8 @@ module Router = struct
                 rep.r_epoch <- e;
                 rs.c_catchups <- rs.c_catchups + 1;
                 Metrics.incr m_catchups;
-                ev rs ~shard:rep.r_shard ~rid:0 ~cmd:"(catchup)" ~status:"ok"
-                  ~latency_us:0 ~lines:len ();
+                ev rs ~shard:rep.r_shard ~cmd:"(catchup)" ~status:"ok"
+                  ~lines:len;
                 readmit rs rep;
                 true
             | _ -> false)
@@ -770,11 +656,7 @@ module Router = struct
     let sched = Backoff.schedule ~max_ms:1_000 rs.cfg.backoff_ms in
     let total = nreps * (1 + rs.cfg.retries) in
     let rec go attempt =
-      if attempt > total then begin
-        rs.c_unavailable <- rs.c_unavailable + 1;
-        Metrics.incr m_unavailable;
-        raise (Unavailable sh)
-      end
+      if attempt > total then unavailable rs sh
       else begin
         let idx = order.((attempt - 1) mod nreps) in
         let rep = g.reps.(idx) in
@@ -791,8 +673,7 @@ module Router = struct
         | `Transport _ ->
             rs.c_failovers <- rs.c_failovers + 1;
             Metrics.incr m_failovers;
-            ev rs ~shard:sh ~rid:0 ~cmd:"(failover)" ~status:"transport"
-              ~latency_us:0 ~lines:0 ();
+            ev rs ~shard:sh ~cmd:"(failover)" ~status:"transport" ~lines:0;
             move ~slept:false
         | `Reply (lines, st) -> (
             match st with
@@ -812,13 +693,13 @@ module Router = struct
                 drop_conn rep;
                 rs.c_failovers <- rs.c_failovers + 1;
                 Metrics.incr m_failovers;
-                ev rs ~shard:sh ~rid:0 ~cmd:"(failover)" ~status:"transport"
-                  ~latency_us:0 ~lines:0 ();
+                ev rs ~shard:sh ~cmd:"(failover)" ~status:"transport"
+                  ~lines:0;
                 move ~slept:false
             | Client.Err_reply (cls, msg) ->
                 (* user/budget/internal: a deterministic verdict — the
                    same graph gives the same answer everywhere *)
-                raise (Shard_error (cls, strip_keys msg))
+                shard_error cls msg
             | Client.Transport_error _ -> assert false)
       end
     in
@@ -828,13 +709,13 @@ module Router = struct
 
   let group_next t sh lb =
     let t0 = Unix.gettimeofday () in
-    let reply = group_call t.rs sh ("next " ^ fmt_tuple lb) in
+    let reply = group_call t.rs sh ("next " ^ Nd_server.fmt_tuple lb) in
     Nd_obs.Lhist.observe t.rs.pull_hist ~label:(string_of_int sh)
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
     match reply with
     | [ one ] when one = "none" -> None
-    | [ one ] when starts_with "sol " one ->
-        Some (parse_tuple (String.sub one 4 (String.length one - 4)))
+    | [ one ] when String.starts_with ~prefix:"sol " one ->
+        Some (Nd_server.parse_tuple (String.sub one 4 (String.length one - 4)))
     | other ->
         Nd_error.invariantf "shard %d: bad next reply %S" sh
           (String.concat "/" other)
@@ -888,21 +769,6 @@ module Router = struct
     t.cursor <- (match next with Some a -> At a | None -> Exhausted);
     (sols, next = None)
 
-  let cmd_enumerate t arg =
-    let k =
-      if arg = "" then t.rs.cfg.max_enumerate
-      else
-        match int_of_string_opt arg with
-        | Some k when k > 0 -> min k t.rs.cfg.max_enumerate
-        | _ -> Nd_error.user_errorf "enumerate: bad page size %S" arg
-    in
-    let sols, exhausted = page t k in
-    List.map (fun s -> "sol " ^ fmt_tuple s) sols
-    @ [
-        Printf.sprintf "end %d%s" (List.length sols)
-          (if exhausted then " complete" else "");
-      ]
-
   (* Replication: leader-first.  The mutation list is validated locally,
      then offered to replicas in order; the first acceptance is the
      leader's and fixes the new fleet epoch, after which the fan-out to
@@ -931,7 +797,7 @@ module Router = struct
                 | None -> ());
                 if !leader = None then leader := Some (body r)
             | `Reply (_, Client.Err_reply (cls, msg)) ->
-                if !leader = None then raise (Shard_error (cls, strip_keys msg))
+                if !leader = None then shard_error cls msg
                 else
                   (* post-acceptance divergence: the same mutation was
                      rejected here but applied elsewhere — never trust
@@ -945,10 +811,7 @@ module Router = struct
         if not !applied_here then failed_groups := sh :: !failed_groups)
       rs.groups;
     match !leader with
-    | None ->
-        rs.c_unavailable <- rs.c_unavailable + 1;
-        Metrics.incr m_unavailable;
-        raise (Unavailable (match !failed_groups with s :: _ -> s | [] -> 0))
+    | None -> unavailable rs (match !failed_groups with s :: _ -> s | [] -> 0)
     | Some reply_body ->
         let new_fleet =
           match update_reply_epoch reply_body with
@@ -968,20 +831,6 @@ module Router = struct
         t.cursor <- Unstarted;
         reply_body
 
-  let parse_muts verb arg =
-    if String.trim arg = "" then
-      Nd_error.user_errorf "%s: missing mutation" verb
-    else
-      let muts =
-        List.filter_map
-          (fun s ->
-            let s = String.trim s in
-            if s = "" then None else Some (Nd_graph.Cgraph.mutation_of_string s))
-          (String.split_on_char ';' arg)
-      in
-      if muts = [] then Nd_error.user_errorf "%s: no mutations given" verb
-      else muts
-
   let live_fenced (rs : shared) =
     let live = ref 0 and fenced = ref 0 in
     Array.iter
@@ -998,11 +847,12 @@ module Router = struct
   let stats t =
     let rs = t.rs in
     let live, fenced = live_fenced rs in
+    let replies = Nd_server.replies t.gate in
     {
-      requests = rs.c_requests;
-      ok = rs.c_ok;
-      user_errors = rs.c_user;
-      unavailable = rs.c_unavailable;
+      requests = Nd_server.requests t.gate;
+      ok = replies "ok";
+      user_errors = replies "user";
+      unavailable = replies "unavailable";
       failovers = rs.c_failovers;
       fence_refusals = rs.c_fence_refusals;
       catchups = rs.c_catchups;
@@ -1099,43 +949,37 @@ module Router = struct
       @ List.rev !shards)
 
   let scrape_metrics t =
-    Mutex.protect t.rs.lock (fun () -> scrape_metrics_locked t)
-
-  let split_command line =
-    match String.index_opt line ' ' with
-    | None -> (line, "")
-    | Some i ->
-        ( String.sub line 0 i,
-          String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+    Nd_server.with_gate_lock t.gate (fun () -> scrape_metrics_locked t)
 
   let dispatch t line =
     let rs = t.rs in
-    let cmd, arg = split_command line in
+    (* the fence's once-per-request probe cache is keyed by this *)
+    rs.serial <- rs.serial + 1;
+    let cmd, arg = Nd_server.split_command line in
     match cmd with
     | "quit" ->
         t.quit <- true;
         `Bye
     | "next" ->
-        let tup = parse_tuple arg in
+        let tup = Nd_server.parse_tuple arg in
         `Ok
           [
             (match fan_next t tup with
-            | Some sol -> "sol " ^ fmt_tuple sol
+            | Some sol -> "sol " ^ Nd_server.fmt_tuple sol
             | None -> "none");
           ]
     | "test" ->
-        let tup = parse_tuple arg in
-        `Ok (group_call rs (route rs tup) ("test " ^ fmt_tuple tup))
-    | "enumerate" -> `Ok (cmd_enumerate t arg)
-    | "update" -> `Ok (cmd_update t line (parse_muts "update" arg))
-    | "batch-update" -> `Ok (cmd_update t line (parse_muts "batch-update" arg))
+        let tup = Nd_server.parse_tuple arg in
+        `Ok (group_call rs (route rs tup) ("test " ^ Nd_server.fmt_tuple tup))
+    | "enumerate" ->
+        `Ok
+          (Nd_server.enumerate_reply ~max_enumerate:rs.cfg.max_enumerate arg
+             (page t))
+    | "update" | "batch-update" ->
+        `Ok (cmd_update t line (Nd_server.mutations cmd arg))
     | "epoch" ->
         if rs.fleet_epoch < 0 then init_fleet rs;
-        if rs.fleet_epoch < 0 then begin
-          rs.c_unavailable <- rs.c_unavailable + 1;
-          Metrics.incr m_unavailable;
-          raise (Unavailable 0)
-        end
+        if rs.fleet_epoch < 0 then unavailable rs 0
         else `Ok [ Printf.sprintf "epoch %d" rs.fleet_epoch ]
     | "reset" ->
         t.cursor <- Unstarted;
@@ -1152,111 +996,14 @@ module Router = struct
           "unknown command %S (try next/test/enumerate/update/batch-update/epoch/reset/stats/metrics/health/quit)"
           cmd
 
-  let handle t line =
-    let rs = t.rs in
-    let line = String.trim line in
-    if line = "" then []
-    else begin
-      let base, ctx = Nd_obs.Ctx.split_line line in
-      let cmd, _ = split_command base in
-      let t0 = Unix.gettimeofday () in
-      let rid, stopped =
-        Mutex.protect rs.adm (fun () ->
-            rs.c_requests <- rs.c_requests + 1;
-            Metrics.incr m_requests;
-            if !(rs.stop) then (rs.c_requests, true)
-            else begin
-              rs.inflight <- rs.inflight + 1;
-              (rs.c_requests, false)
-            end)
-      in
-      if stopped then begin
-        let reply =
-          [
-            Printf.sprintf "err shutting-down rid=%d span=0 router is draining"
-              rid;
-          ]
-        in
-        ev rs ~rid ~cmd ~status:"shutting-down" ~latency_us:0 ~lines:1 ();
-        reply
-      end
-      else
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.protect rs.adm (fun () -> rs.inflight <- rs.inflight - 1))
-        @@ fun () ->
-        Mutex.protect rs.lock
-        @@ fun () ->
-        rs.serial <- rs.serial + 1;
-        let status = ref "ok" in
-        let shard_attr = ref None in
-        let span = ref 0 in
-        let err cls m =
-          status := cls;
-          Printf.sprintf "err %s rid=%d span=%d %s" cls rid !span m
-        in
-        let ctx_attrs =
-          match ctx with Some (Ok c) -> Nd_obs.Ctx.attrs c | _ -> []
-        in
-        let reply =
-          Nd_trace.with_span "router.request"
-            ~attrs:(("rid", string_of_int rid) :: ("cmd", cmd) :: ctx_attrs)
-          @@ fun () ->
-          span := Nd_trace.current_span_id ();
-          match
-            (match ctx with
-            | Some (Error m) ->
-                Nd_error.user_errorf "bad trace= attribute: %s" m
-            | _ -> ());
-            dispatch t base
-          with
-          | `Ok lines ->
-              rs.c_ok <- rs.c_ok + 1;
-              Metrics.incr m_ok;
-              lines @ [ "ok" ]
-          | `Bye ->
-              status := "bye";
-              [ "bye" ]
-          | exception Unavailable sh ->
-              shard_attr := Some sh;
-              [
-                err "unavailable"
-                  (Printf.sprintf
-                     "shard=%d retry-after-ms=%d no live replica at fleet \
-                      epoch"
-                     sh rs.cfg.retry_after_ms);
-              ]
-          | exception Shard_error (cls, msg) ->
-              (match cls with
-              | "user" ->
-                  rs.c_user <- rs.c_user + 1;
-                  Metrics.incr m_err_user
-              | _ -> ());
-              [ err cls msg ]
-          | exception (Nd_error.User_error m | Invalid_argument m | Failure m)
-            ->
-              rs.c_user <- rs.c_user + 1;
-              Metrics.incr m_err_user;
-              [ err "user" m ]
-          | exception Nd_error.Internal_invariant m -> [ err "internal" m ]
-          | exception e ->
-              [ err "internal" ("uncaught exception: " ^ Printexc.to_string e) ]
-        in
-        let latency_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-        Metrics.observe h_latency latency_us;
-        ev rs ?shard:!shard_attr ~span:!span ~rid ~cmd ~status:!status
-          ~latency_us ~lines:(List.length reply) ();
-        reply
-    end
-
   (* ---------------- probing ---------------- *)
 
   let health_tokens line =
     List.fold_left
       (fun (e, m) tok ->
-        if starts_with "epoch=" tok then
+        if String.starts_with ~prefix:"epoch=" tok then
           (int_of_string_opt (String.sub tok 6 (String.length tok - 6)), m)
-        else if starts_with "mode=" tok then
+        else if String.starts_with ~prefix:"mode=" tok then
           (e, Some (String.sub tok 5 (String.length tok - 5)))
         else (e, m))
       (None, None)
@@ -1302,7 +1049,7 @@ module Router = struct
           g.reps)
       rs.groups
 
-  let probe t = Mutex.protect t.rs.lock (fun () -> probe_locked t.rs)
+  let probe t = Nd_server.with_gate_lock t.gate (fun () -> probe_locked t.rs)
 
   let start_probes t =
     let rs = t.rs in
@@ -1313,19 +1060,22 @@ module Router = struct
            (fun () ->
              let slice = 0.05 in
              let rec sleep_until dl =
-               if (not !(rs.stop)) && Unix.gettimeofday () < dl then begin
+               if
+                 (not (Nd_server.stopping t.gate))
+                 && Unix.gettimeofday () < dl
+               then begin
                  (try ignore (Unix.select [] [] [] slice)
                   with Unix.Unix_error (Unix.EINTR, _, _) -> ());
                  sleep_until dl
                end
              in
              let rec loop () =
-               if !(rs.stop) then ()
+               if Nd_server.stopping t.gate then ()
                else begin
                  sleep_until
                    (Unix.gettimeofday ()
                    +. (float_of_int rs.cfg.probe_interval_ms /. 1000.));
-                 if not !(rs.stop) then begin
+                 if not (Nd_server.stopping t.gate) then begin
                    (try probe t with _ -> ());
                    loop ()
                  end
@@ -1334,91 +1084,8 @@ module Router = struct
              loop ())
            ())
 
-  (* ---------------- drain / serving ---------------- *)
+  let service =
+    { Nd_server.gate = (fun t -> t.gate); session; dispatch; quitting }
 
-  let drain ?(timeout_ms = 5_000) t =
-    let rs = t.rs in
-    let dl = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.) in
-    let rec wait () =
-      let idle = Mutex.protect rs.adm (fun () -> rs.inflight = 0) in
-      if idle then true
-      else if Unix.gettimeofday () >= dl then false
-      else begin
-        (try ignore (Unix.select [] [] [] 0.01)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        wait ()
-      end
-    in
-    wait ()
-
-  let serve t ic oc =
-    let emit lines =
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        lines;
-      flush oc
-    in
-    let rec loop () =
-      if !(t.rs.stop) then emit [ "bye" ]
-      else
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line ->
-            emit (handle t line);
-            if t.quit then ()
-            else if !(t.rs.stop) then emit [ "bye" ]
-            else loop ()
-    in
-    loop ()
-
-  let serve_socket ?(backlog = 64) t ~path =
-    if backlog < 1 then
-      invalid_arg "Router.serve_socket: backlog must be >= 1";
-    (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-    @@ fun () ->
-    Unix.bind sock (Unix.ADDR_UNIX path);
-    Unix.listen sock backlog;
-    let reg_m = Mutex.create () in
-    let live_fds = ref [] in
-    let threads = ref [] in
-    let conn fd =
-      let s = session t in
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      (try serve s ic oc with Sys_error _ | End_of_file -> ());
-      Mutex.protect reg_m (fun () ->
-          live_fds := List.filter (fun fd' -> fd' != fd) !live_fds);
-      try Unix.close fd with Unix.Unix_error _ -> ()
-    in
-    let rec accept_loop () =
-      if !(t.rs.stop) then ()
-      else
-        match Unix.select [ sock ] [] [] 0.2 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-        | [], _, _ -> accept_loop ()
-        | _ ->
-            (match Unix.accept sock with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | fd, _ ->
-                Mutex.protect reg_m (fun () -> live_fds := fd :: !live_fds);
-                threads := Thread.create conn fd :: !threads);
-            accept_loop ()
-    in
-    accept_loop ();
-    (* quiesce in-flight merges before unblocking the readers *)
-    ignore (drain t);
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      (Mutex.protect reg_m (fun () -> !live_fds));
-    List.iter Thread.join !threads
+  let handle t line = Nd_server.handle_with service t line
 end

@@ -228,22 +228,37 @@ end
     so a rejected mutation changes nothing anywhere.  Followers that
     miss the fan-out are fenced and caught up later.
 
-    {2 Drain}
+    {2 The shared loop}
 
-    {!request_stop} makes new requests answer [err shutting-down];
-    {!drain} waits until in-flight requests (merges included) have
-    finished, so callers stop shards only once no merge is mid-pull. *)
+    The request envelope and the transport are {!Nd_server}'s
+    ({!Nd_server.handle_with}, {!Nd_server.serve_with},
+    {!Nd_server.serve_socket_with}), run with the router's {!service}
+    and registry name ["router"]: rids, the [router.request] span,
+    error mapping, the [router.request_us] histogram and event rows,
+    then the socket hygiene ([err user … max-line-bytes=65536] and a
+    close for an oversized line), the backlog drain
+    ([err shutting-down rid=0 span=0 router is draining] + [bye]) and
+    stop-then-join.  The socket transport returns only after every
+    connection thread has been joined, so no merge is mid-pull when
+    a caller stops the shards.
+
+    What stays router-only is the fan-out: ownership routing and the
+    k-way merge, leader-first replication, fencing, catch-up and
+    probes, and the [stats], [health] and [metrics] verbs.  Router
+    errors are one {!Nd_server.reply_error}: [err unavailable] carries
+    its shard (logged as the event row's ["shard"]), a shard's
+    user/budget/internal verdict is relayed under its own class with
+    the shard's [rid=]/[span=] keys replaced by the router's.
+
+    {!request_stop} makes new requests answer [err shutting-down] and
+    ends the serving loops and the probe timer. *)
 module Router : sig
-  type conn = {
+  type conn = Nd_server.Client.conn = {
     transport : Nd_server.Client.transport;
     read_reply : float -> string list option;
-        (** read one already-queued reply, waiting at most the given
-            seconds for its first line ([None] when nothing arrives) —
-            the resync primitive the connect handshake uses to absorb a
-            garbage-injected extra reply (see DESIGN S16); endpoints
-            that cannot be desynced may return [None] unconditionally *)
     close : unit -> unit;
   }
+  (** One replica connection; see {!Nd_server.Client.conn}. *)
 
   type endpoint
   (** One replica: a shard id plus a way to (re)connect to it. *)
@@ -258,7 +273,8 @@ module Router : sig
   val socket_endpoint :
     ?connect:Nd_server.Client.connect_policy -> shard:int -> string -> endpoint
   (** A worker behind a Unix-domain socket path, dialed with
-      {!Nd_server.Client.connect} (bounded, backoff-scheduled). *)
+      {!Nd_server.Client.connect} (bounded, backoff-scheduled) and
+      spoken to through {!Nd_server.Client.fd_conn}. *)
 
   val local_endpoint : shard:int -> label:string -> Nd_server.t -> endpoint
   (** An in-process worker: each connect opens a fresh
@@ -304,8 +320,9 @@ module Router : sig
       one per client connection, as in {!Nd_server.session}. *)
 
   val handle : t -> string -> string list
-  (** Process one request line; never raises.  Same contract as
-      {!Nd_server.handle}. *)
+  (** Process one request line; never raises.
+      [Nd_server.handle_with service]: the server's envelope, so the
+      contract is {!Nd_server.handle}'s. *)
 
   val probe : t -> unit
   (** One probe round: [health] every replica, record epoch and mode,
@@ -320,12 +337,12 @@ module Router : sig
   val quitting : t -> bool
   val request_stop : t -> unit
 
-  val drain : ?timeout_ms:int -> t -> bool
-  (** Wait (up to [timeout_ms], default 5000) for in-flight requests to
-      quiesce; [true] when the router is idle. *)
-
-  val serve : t -> in_channel -> out_channel -> unit
-  val serve_socket : ?backlog:int -> t -> path:string -> unit
+  val service : t Nd_server.service
+  (** The router's verbs for the shared loop: [fodb router] and [fodb
+      cluster] serve with [Nd_server.serve_with service] (stdio) or
+      [Nd_server.serve_socket_with service] (socket), under the
+      server's default hygiene limits (64 KiB request lines, no
+      timeouts, no caps). *)
 
   val scrape_metrics : t -> string
   (** The aggregated fleet exposition: the router's own process

@@ -570,26 +570,11 @@ module Stats = struct
     budget_exhausted : Nd_error.budget_info option;
   }
 
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let jfloat f = Printf.sprintf "%.9g" f
   let jbool b = if b then "true" else "false"
 
   let jobj fields =
-    "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ v) fields)
+    "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ Nd_trace.Json.escape k ^ "\":" ^ v) fields)
     ^ "}"
 
   let jarr vs = "[" ^ String.concat "," vs ^ "]"
@@ -621,7 +606,7 @@ module Stats = struct
         ( "query",
           jobj
             [
-              ("text", "\"" ^ escape t.query ^ "\"");
+              ("text", "\"" ^ Nd_trace.Json.escape t.query ^ "\"");
               ("arity", string_of_int t.arity);
               ("compiled", jbool t.compiled);
               ("levels", jarr (List.map jbool t.compiled_levels));
@@ -648,10 +633,10 @@ module Stats = struct
             ] );
         ( "degradation",
           jobj
-            (("mode", "\"" ^ escape t.degradation_mode ^ "\"")
+            (("mode", "\"" ^ Nd_trace.Json.escape t.degradation_mode ^ "\"")
             ::
             (match t.degradation_reason with
-            | Some r -> [ ("reason", "\"" ^ escape r ^ "\"") ]
+            | Some r -> [ ("reason", "\"" ^ Nd_trace.Json.escape r ^ "\"") ]
             | None -> [])) );
         ( "paranoid",
           jobj
@@ -666,7 +651,7 @@ module Stats = struct
               jobj
                 [
                   ("exhausted", jbool true);
-                  ("phase", "\"" ^ escape info.Nd_error.phase ^ "\"");
+                  ("phase", "\"" ^ Nd_trace.Json.escape info.Nd_error.phase ^ "\"");
                   ( "resource",
                     "\"" ^ Nd_error.resource_name info.Nd_error.resource ^ "\"" );
                   ("limit", string_of_int info.Nd_error.limit);

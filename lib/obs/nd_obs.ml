@@ -1,22 +1,6 @@
 module Metrics = Nd_util.Metrics
 module Json = Nd_trace.Json
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 (* ---------------- trace-context request attribute ---------------- *)
@@ -232,7 +216,7 @@ module Merge = struct
                   if i > 0 then Buffer.add_char b ',';
                   Buffer.add_string b
                     (Printf.sprintf "{\"pid\":%d,\"trace_id\":\"%s\"}" (i + 1)
-                       (json_escape tid)))
+                       (Json.escape tid)))
                 shards;
               Buffer.add_string b "],\"traceEvents\":[";
               let first = ref true in
@@ -269,7 +253,7 @@ module Merge = struct
                       in
                       if !first then first := false else Buffer.add_char b ',';
                       Buffer.add_string b "{\"name\":\"";
-                      Buffer.add_string b (json_escape e.e_name);
+                      Buffer.add_string b (Json.escape e.e_name);
                       Buffer.add_string b
                         (Printf.sprintf
                            "\",\"cat\":\"fodb\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.0f,\"dur\":%.0f,\"args\":{\"sid\":%d,\"parent\":%d,\"ops\":%d"
@@ -277,9 +261,9 @@ module Merge = struct
                       List.iter
                         (fun (k, v) ->
                           Buffer.add_string b ",\"";
-                          Buffer.add_string b (json_escape k);
+                          Buffer.add_string b (Json.escape k);
                           Buffer.add_string b "\":\"";
-                          Buffer.add_string b (json_escape v);
+                          Buffer.add_string b (Json.escape v);
                           Buffer.add_string b "\"")
                         e.e_attrs;
                       if !orphaned then
@@ -453,25 +437,15 @@ end
 (* ---------------- Prometheus aggregation ---------------- *)
 
 module Prom = struct
-  let escape_label v =
-    let b = Buffer.create (String.length v) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      v;
-    Buffer.contents b
-
   let relabel ~labels text =
     if labels = [] then text
     else
       let ins =
         String.concat ","
           (List.map
-             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label v))
+             (fun (k, v) ->
+               Printf.sprintf "%s=\"%s\"" k
+                 (Nd_trace.Prometheus.escape_label v))
              labels)
       in
       String.split_on_char '\n' text
@@ -582,11 +556,7 @@ end
 (* ---------------- labelled histograms ---------------- *)
 
 module Lhist = struct
-  let bounds =
-    let rec go acc b =
-      if b > Metrics.hist_clamp then List.rev acc else go (b :: acc) (b * 2)
-    in
-    Array.of_list (0 :: go [] 1)
+  let bounds = Nd_trace.Prometheus.bucket_bounds
 
   let max_bound = bounds.(Array.length bounds - 1)
 
@@ -636,7 +606,7 @@ module Lhist = struct
            t.name);
       List.iter
         (fun s ->
-          let lv = Prom.escape_label s.l in
+          let lv = Nd_trace.Prometheus.escape_label s.l in
           let cum = ref 0 in
           Array.iteri
             (fun i le ->
@@ -779,7 +749,7 @@ module Flight = struct
       (fun () ->
         Printf.fprintf oc
           "{\"kind\":\"postmortem\",\"ts_us\":%d,\"cause\":\"%s\",\"decision\":\"%s\",\"last_epoch\":%s,\"events\":%d}\n"
-          (now_us ()) (json_escape cause) (json_escape decision)
+          (now_us ()) (Json.escape cause) (Json.escape decision)
           (match last_epoch with
           | Some e -> string_of_int e
           | None -> "null")

@@ -27,9 +27,6 @@
     {!Nd_util} and {!Nd_trace}); {!Nd_server} and {!Nd_cluster} thread
     it through the serving tier. *)
 
-val json_escape : string -> string
-(** JSON string-content escaping shared by the event-row writers. *)
-
 val now_us : unit -> int
 (** Wall-clock microseconds ([gettimeofday] scaled) — the timestamp
     base of event-log rows and post-mortems. *)
@@ -117,8 +114,6 @@ end
 
 (** Aggregating Prometheus text expositions across the fleet. *)
 module Prom : sig
-  val escape_label : string -> string
-
   val relabel : labels:(string * string) list -> string -> string
   (** Insert [labels] at the front of every sample line's label list
       (creating one on unlabelled samples); HELP/TYPE lines pass
@@ -138,8 +133,8 @@ end
 
 (** Caller-synchronized labelled histograms — the per-shard merge-pull
     latency families the router adds to the aggregated exposition.
-    Buckets are the same power-of-two ladder as
-    {!Nd_trace.Prometheus.render} (0, 1, 2, … up to
+    Buckets are {!Nd_trace.Prometheus.bucket_bounds}, the ladder every
+    histogram renders with (0, 1, 2, … up to
     {!Nd_util.Metrics.hist_clamp}); observations saturate into the top
     bucket.  Not internally locked: the router observes and renders
     under its own request lock. *)

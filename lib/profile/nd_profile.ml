@@ -113,20 +113,6 @@ let run ?(query = "dist(x,y) <= 2") ?(colors = 0) ?(seed = 7) ?(limit = 20000)
 
 (* ---------------- output ---------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let point_json p =
     Printf.sprintf
@@ -136,7 +122,7 @@ let to_json r =
   in
   Printf.sprintf
     "{\"schema\":\"nd-profile/1\",\"spec\":\"%s\",\"query\":\"%s\",\"tolerance\":%.3f,\"points\":[%s],\"delay_invariant\":%b}"
-    (escape r.spec) (escape r.query) r.tolerance
+    (Nd_trace.Json.escape r.spec) (Nd_trace.Json.escape r.query) r.tolerance
     (String.concat "," (List.map point_json r.points))
     r.delay_invariant
 

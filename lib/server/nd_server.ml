@@ -1,26 +1,6 @@
 open Nd_util
 
-(* Mirror counters for the Metrics registry (observable via `stats`);
-   the authoritative per-session counts live on [t] so `health` works
-   with instrumentation off. *)
-let m_requests = Metrics.counter "server.requests"
-let m_ok = Metrics.counter "server.replies_ok"
-let m_err_user = Metrics.counter "server.errors.user"
-let m_err_budget = Metrics.counter "server.errors.budget"
-let m_err_internal = Metrics.counter "server.errors.internal"
-
-(* overload-safety counters: requests shed at the admission gate,
-   requests refused because the server is draining, whole connections
-   refused at the connection cap, and hygiene enforcement events *)
-let m_err_overloaded = Metrics.counter "server.errors.overloaded"
-let m_err_shutting_down = Metrics.counter "server.errors.shutting_down"
-let m_conns_rejected = Metrics.counter "server.conns_rejected"
-let m_io_timeouts = Metrics.counter "server.io_timeouts"
-let m_oversized_lines = Metrics.counter "server.oversized_lines"
-let m_idle_reaped = Metrics.counter "server.idle_reaped"
-let m_backlog_drained = Metrics.counter "server.backlog_drained"
 let m_updates = Metrics.counter "server.updates"
-let h_latency = Metrics.hist "server.request_us"
 
 type ownership = { next_owned : int -> int option; owns_empty : bool }
 
@@ -76,6 +56,638 @@ let default_config =
     flight = None;
   }
 
+(* ---------------- wire syntax ---------------- *)
+
+let fmt_tuple a =
+  String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let parse_tuple s =
+  if String.trim s = "" then [||]
+  else
+    Array.of_list
+      (List.map
+         (fun field ->
+           match int_of_string_opt (String.trim field) with
+           | Some v -> v
+           | None ->
+               Nd_error.user_errorf
+                 "bad tuple %S (expected comma-separated integers)" s)
+         (String.split_on_char ',' s))
+
+let split_command line =
+  match String.index_opt line ' ' with
+  | None -> (line, "")
+  | Some i ->
+      ( String.sub line 0 i,
+        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+
+let mutations verb arg =
+  match verb with
+  | "update" ->
+      if arg = "" then Nd_error.user_errorf "update: missing mutation"
+      else [ Nd_graph.Cgraph.mutation_of_string arg ]
+  | _ ->
+      let muts =
+        List.filter_map
+          (fun s ->
+            let s = String.trim s in
+            if s = "" then None else Some (Nd_graph.Cgraph.mutation_of_string s))
+          (String.split_on_char ';' arg)
+      in
+      if muts = [] then Nd_error.user_errorf "%s: no mutations given" verb
+      else muts
+
+let enumerate_reply ~max_enumerate arg page =
+  let k =
+    if arg = "" then max_enumerate
+    else
+      match int_of_string_opt arg with
+      | Some k when k > 0 -> min k max_enumerate
+      | _ -> Nd_error.user_errorf "enumerate: bad page size %S" arg
+  in
+  let sols, exhausted = page k in
+  List.map (fun s -> "sol " ^ fmt_tuple s) sols
+  @ [
+      Printf.sprintf "end %d%s" (List.length sols)
+        (if exhausted then " complete" else "");
+    ]
+
+(* ---------------- the request envelope ---------------- *)
+
+type reply_error = { cls : string; msg : string; shard : int option }
+
+exception Reply_error of reply_error
+
+(* One service's registry entries, all under its name: "server" or
+   "router".  Error counters are found-or-created per class; the
+   classes either service can answer are registered up front so they
+   appear in every scrape. *)
+type meters = {
+  name : string;
+  request_span : string;
+  m_requests : Metrics.counter;
+  m_ok : Metrics.counter;
+  h_latency : Metrics.hist;
+  m_conns_rejected : Metrics.counter;
+  m_io_timeouts : Metrics.counter;
+  m_oversized_lines : Metrics.counter;
+  m_idle_reaped : Metrics.counter;
+  m_backlog_drained : Metrics.counter;
+}
+
+let err_counter name cls =
+  Metrics.counter
+    (name ^ ".errors." ^ String.map (function '-' -> '_' | c -> c) cls)
+
+let meters name =
+  List.iter
+    (fun cls -> ignore (err_counter name cls))
+    [ "user"; "budget"; "internal"; "overloaded"; "shutting-down"; "unavailable" ];
+  let c s = Metrics.counter (name ^ "." ^ s) in
+  {
+    name;
+    request_span = name ^ ".request";
+    m_requests = c "requests";
+    m_ok = c "replies_ok";
+    h_latency = Metrics.hist (name ^ ".request_us");
+    m_conns_rejected = c "conns_rejected";
+    m_io_timeouts = c "io_timeouts";
+    m_oversized_lines = c "oversized_lines";
+    m_idle_reaped = c "idle_reaped";
+    m_backlog_drained = c "backlog_drained";
+  }
+
+let server_meters = meters "server"
+
+(* State shared by every session of one service.  Two locks with
+   distinct jobs: [lock] serializes request *processing* (one prepared
+   handle or one fleet view, many connections — answering mutates
+   shared state, so requests are dispatched one at a time while
+   connection I/O overlaps freely); [adm] protects only the admission
+   state (tallies and the in-flight gauge) so an overloaded request can
+   be shed in O(1) without ever waiting on [lock].  [adm] is never held
+   across [lock]'s critical work — its sections are a few loads and
+   stores. *)
+type gate = {
+  meters : meters;
+  config : config;
+  epoch : unit -> int;
+  lock : Mutex.t;
+  adm : Mutex.t;
+  mutable stopped : bool;
+  mutable inflight : int;
+  mutable requests : int;
+  replies : (string, int) Hashtbl.t;  (* by event-row status *)
+}
+
+let gate meters ~epoch config =
+  {
+    meters;
+    config;
+    epoch;
+    lock = Mutex.create ();
+    adm = Mutex.create ();
+    stopped = false;
+    inflight = 0;
+    requests = 0;
+    replies = Hashtbl.create 8;
+  }
+
+let with_gate_lock g f = Mutex.protect g.lock f
+let stop g = g.stopped <- true
+let stopping g = g.stopped
+let requests g = Mutex.protect g.adm (fun () -> g.requests)
+
+let replies g status =
+  Mutex.protect g.adm (fun () ->
+      Option.value ~default:0 (Hashtbl.find_opt g.replies status))
+
+(* under [adm] *)
+let count_request g =
+  g.requests <- g.requests + 1;
+  Metrics.incr g.meters.m_requests;
+  g.requests
+
+(* under [adm] *)
+let count_reply g status =
+  Hashtbl.replace g.replies status
+    (1 + Option.value ~default:0 (Hashtbl.find_opt g.replies status));
+  if status = "ok" then Metrics.incr g.meters.m_ok
+  else if status <> "bye" then Metrics.incr (err_counter g.meters.name status)
+
+(* ts_us is integer wall-clock microseconds: whole seconds were too
+   coarse to order events across fleet processes. *)
+let event_row ~ts_us ~rid ~span ~cmd ~status ?epoch ~latency_us ~lines ?shard
+    () =
+  Printf.sprintf
+    "{\"ts_us\":%d,\"rid\":%d,\"span\":%d,\"cmd\":\"%s\",\"status\":\"%s\"%s,\"latency_us\":%d,\"lines\":%d%s}"
+    ts_us rid span (Nd_trace.Json.escape cmd) status
+    (match epoch with None -> "" | Some e -> Printf.sprintf ",\"epoch\":%d" e)
+    latency_us lines
+    (match shard with None -> "" | Some s -> Printf.sprintf ",\"shard\":%d" s)
+
+(* One row per handled request, stamped with its start [t0]: the event
+   log gets the plain row, the flight recorder (when armed) the same
+   row extended with the epoch — the join key a post-mortem needs
+   against the restarted worker's journal-replayed boot epoch. *)
+let log_event g ~t0 ~rid ~span ~cmd ~status ~latency_us ~lines ?shard () =
+  let row ?epoch () =
+    event_row
+      ~ts_us:(int_of_float (t0 *. 1e6))
+      ~rid ~span ~cmd ~status ?epoch ~latency_us ~lines ?shard ()
+  in
+  Option.iter (fun sink -> sink (row ())) g.config.event_log;
+  Option.iter (fun sink -> sink (row ~epoch:(g.epoch ()) ())) g.config.flight
+
+(* Admission: decided under [adm] only, never [lock] — a shed verdict
+   must stay O(1) even while a slow request holds the lock.  The
+   in-flight gauge counts requests admitted past the gate (processing
+   or queued on [lock]); it is released in the [Fun.protect] finalizer
+   of {!handle_with}. *)
+let admit g =
+  Mutex.protect g.adm @@ fun () ->
+  let rid = count_request g in
+  let reject cls msg =
+    count_reply g cls;
+    `Reject (rid, cls, msg)
+  in
+  if g.stopped then reject "shutting-down" (g.meters.name ^ " is draining")
+  else
+    match g.config.max_inflight with
+    | Some m when g.inflight >= m ->
+        reject "overloaded"
+          (Printf.sprintf "retry-after-ms=%d in-flight limit %d reached"
+             g.config.retry_after_ms m)
+    | _ ->
+        g.inflight <- g.inflight + 1;
+        `Admit rid
+
+type 's service = {
+  gate : 's -> gate;
+  session : 's -> 's;
+  dispatch : 's -> string -> [ `Ok of string list | `Bye ];
+  quitting : 's -> bool;
+}
+
+let handle_with svc s line =
+  let g = svc.gate s in
+  let line = String.trim line in
+  if line = "" then []
+  else begin
+    let cmd, _ = split_command line in
+    let t0 = Unix.gettimeofday () in
+    let finish ~rid ~span ?shard status reply =
+      let latency_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+      Metrics.observe g.meters.h_latency latency_us;
+      log_event g ~t0 ~rid ~span ~cmd ~status ~latency_us
+        ~lines:(List.length reply) ?shard ();
+      reply
+    in
+    match admit g with
+    | `Reject (rid, cls, msg) ->
+        finish ~rid ~span:0 cls
+          [ Printf.sprintf "err %s rid=%d span=0 %s" cls rid msg ]
+    | `Admit rid ->
+        Fun.protect
+          ~finally:(fun () ->
+            Mutex.protect g.adm (fun () -> g.inflight <- g.inflight - 1))
+        @@ fun () ->
+        (* the lock spans parsing through reply construction: the
+           service state, the global budget slot and the tracer's span
+           stack are all single-writer under it; only the connection I/O
+           and the admission gate run outside *)
+        Mutex.protect g.lock @@ fun () ->
+        (* span = the tracer's id for this request (0 with tracing off);
+           stamped with rid into every error terminator and event-log line
+           so a failing request joins to its trace. *)
+        let span = ref 0 in
+        (* the optional trailing trace=<id>:<span> request attribute:
+           stripped before dispatch; a valid context re-parents this
+           request's span across the process boundary (the merge
+           resolves the ctx.* attrs), a malformed one is a structured
+           user error naming the attribute — never a protocol desync *)
+        let base, ctx = Nd_obs.Ctx.split_line line in
+        let ctx_attrs =
+          match ctx with Some (Ok c) -> Nd_obs.Ctx.attrs c | _ -> []
+        in
+        let status, shard, reply =
+          Nd_trace.with_span g.meters.request_span
+            ~attrs:(("rid", string_of_int rid) :: ("cmd", cmd) :: ctx_attrs)
+          @@ fun () ->
+          span := Nd_trace.current_span_id ();
+          let err ?shard cls m =
+            ( cls,
+              shard,
+              [ Printf.sprintf "err %s rid=%d span=%d %s" cls rid !span m ] )
+          in
+          (* Request isolation: every failure class a dispatcher can
+             produce becomes a structured terminator line.  The final
+             catch-all exists because an unexpected exception must
+             degrade to an error reply, never to a dead loop. *)
+          match
+            (match ctx with
+            | Some (Error m) ->
+                Nd_error.user_errorf "bad trace= attribute: %s" m
+            | _ -> ());
+            svc.dispatch s base
+          with
+          | `Ok lines -> ("ok", None, lines @ [ "ok" ])
+          | `Bye -> ("bye", None, [ "bye" ])
+          | exception Reply_error e -> err ?shard:e.shard e.cls e.msg
+          | exception (Nd_error.User_error m | Invalid_argument m | Failure m) ->
+              err "user" m
+          | exception Nd_error.Budget_exceeded info ->
+              err "budget" (Nd_error.describe_budget info)
+          | exception Nd_error.Internal_invariant m -> err "internal" m
+          | exception Stack_overflow ->
+              err "internal" "stack overflow in request handler"
+          | exception e ->
+              err "internal" ("uncaught exception: " ^ Printexc.to_string e)
+        in
+        Mutex.protect g.adm (fun () -> count_reply g status);
+        finish ~rid ~span:!span ?shard status reply
+  end
+
+(* ---------------- the stdio loop ---------------- *)
+
+let serve_with svc s ic oc =
+  let g = svc.gate s in
+  let emit lines =
+    List.iter
+      (fun l ->
+        output_string oc l;
+        output_char oc '\n')
+      lines;
+    flush oc
+  in
+  let rec loop () =
+    if g.stopped then emit [ "bye" ]
+    else
+      match input_line ic with
+      | exception End_of_file -> ()
+      | line ->
+          (* the reply is written and flushed in full before the stop
+             flag is consulted: that is the drain guarantee (a request
+             racing the flag itself gets [err shutting-down] from the
+             admission gate rather than a dropped line) *)
+          emit (handle_with svc s line);
+          if svc.quitting s then ()
+          else if g.stopped then emit [ "bye" ]
+          else loop ()
+  in
+  loop ()
+
+let default_backlog = 64
+
+(* ---------------- hygiene-bounded socket I/O ---------------- *)
+
+(* Bounded write on a non-blocking [fd]: the write is tried first and
+   select only waits out a full socket buffer, so a peer that stops
+   reading cannot wedge the connection thread past [deadline]. *)
+let send_all ?deadline fd s =
+  let len = String.length s in
+  let rec go off =
+    if off >= len then `Sent
+    else
+      match Unix.write_substring fd s off (len - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          wait off
+      | exception Unix.Unix_error _ -> `Closed
+  and wait off =
+    let now = Unix.gettimeofday () in
+    match deadline with
+    | Some dl when now >= dl -> `Timeout
+    | _ -> (
+        let w =
+          match deadline with
+          | None -> 0.5
+          | Some dl -> Float.min 0.5 (Float.max 0.0 (dl -. now))
+        in
+        match Unix.select [] [ fd ] [] w with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait off
+        | exception Unix.Unix_error (Unix.EBADF, _, _) -> `Closed
+        | _, [], _ -> wait off
+        | _ -> go off)
+  in
+  go 0
+
+(* every accepted connection is non-blocking, as [send_all] requires *)
+let accept_nonblock sock =
+  let fd, _ = Unix.accept sock in
+  Unix.set_nonblock fd;
+  fd
+
+let emit_lines ?deadline fd lines =
+  if lines = [] then `Sent
+  else send_all ?deadline fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let take_line buf =
+  let s = Buffer.contents buf in
+  match String.index_opt s '\n' with
+  | None -> None
+  | Some i ->
+      Buffer.clear buf;
+      Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
+      let last = if i > 0 && s.[i - 1] = '\r' then i - 1 else i in
+      Some (String.sub s 0 last)
+
+(* The bounded request-line reader — every connection-hygiene deadline
+   lives here.  Select ticks at most 0.2s so the stop flag is honored
+   promptly; [io_timeout_ms] bounds how long a *started* line may
+   trickle in (slow-loris), [idle_timeout_ms] bounds the quiet gap
+   between requests (the idle reaper), [max_line_bytes] bounds the
+   line buffer (memory hygiene).  A complete buffered line is returned
+   even when the stop flag is already up: the admission gate turns it
+   into [err shutting-down] instead of dropping it silently. *)
+let recv_request g fd buf chunk =
+  let cfg = g.config in
+  let start = Unix.gettimeofday () in
+  let first_byte = ref (if Buffer.length buf > 0 then Some start else None) in
+  let to_s ms = float_of_int ms /. 1000. in
+  let rec loop () =
+    match take_line buf with
+    | Some line ->
+        if String.length line > cfg.max_line_bytes then `Too_long
+        else `Line line
+    | None ->
+        if Buffer.length buf > cfg.max_line_bytes then `Too_long
+        else if g.stopped then `Stopped
+        else begin
+          let now = Unix.gettimeofday () in
+          let deadline =
+            match !first_byte with
+            | Some tb -> Option.map (fun ms -> tb +. to_s ms) cfg.io_timeout_ms
+            | None ->
+                Option.map (fun ms -> start +. to_s ms) cfg.idle_timeout_ms
+          in
+          match deadline with
+          | Some dl when now >= dl ->
+              if !first_byte = None then `Idle else `Timeout
+          | _ -> (
+              let wait =
+                match deadline with
+                | None -> 0.2
+                | Some dl -> Float.min 0.2 (Float.max 0.0 (dl -. now))
+              in
+              match Unix.select [ fd ] [] [] wait with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+              | exception Unix.Unix_error (Unix.EBADF, _, _) -> `Eof
+              | [], _, _ -> loop ()
+              | _ -> (
+                  match Unix.read fd chunk 0 (Bytes.length chunk) with
+                  | exception
+                      Unix.Unix_error
+                        ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+                    ->
+                      loop ()
+                  | exception Unix.Unix_error _ -> `Eof
+                  | 0 ->
+                      (* EOF with a trailing unterminated line: serve it,
+                         like [input_line] would; the next read sees a
+                         clean EOF *)
+                      if Buffer.length buf > 0 then begin
+                        let line = Buffer.contents buf in
+                        Buffer.clear buf;
+                        if String.length line > cfg.max_line_bytes then
+                          `Too_long
+                        else `Line line
+                      end
+                      else `Eof
+                  | n ->
+                      if !first_byte = None then
+                        first_byte := Some (Unix.gettimeofday ());
+                      Buffer.add_subbytes buf chunk 0 n;
+                      loop ()))
+        end
+  in
+  loop ()
+
+(* A transport-hygiene violation becomes a synthesized request: it gets
+   a real rid, lands in the user-error counters and the event log, and
+   is answered with a structured [err user] line before the connection
+   closes. *)
+let hygiene_error g msg =
+  let t0 = Unix.gettimeofday () in
+  let rid =
+    Mutex.protect g.adm (fun () ->
+        let rid = count_request g in
+        count_reply g "user";
+        rid)
+  in
+  log_event g ~t0 ~rid ~span:0 ~cmd:"(transport)" ~status:"user" ~latency_us:0
+    ~lines:1 ();
+  Printf.sprintf "err user rid=%d span=0 %s" rid msg
+
+(* Drain connections parked in the kernel accept backlog at stop time:
+   each completed-but-unaccepted connection gets a structured refusal
+   and a clean close instead of the silent reset it would see when the
+   listen socket is unlinked.  Non-blocking; returns the number
+   drained. *)
+let drain_parked meters sock =
+  let refusal =
+    Printf.sprintf "err shutting-down rid=0 span=0 %s is draining\nbye\n"
+      meters.name
+  in
+  let rec go n =
+    match Unix.select [ sock ] [] [] 0.0 with
+    | exception Unix.Unix_error _ -> n
+    | [], _, _ -> n
+    | _ -> (
+        match accept_nonblock sock with
+        | exception Unix.Unix_error _ -> n
+        | fd ->
+            Metrics.incr meters.m_backlog_drained;
+            ignore
+              (send_all
+                 ~deadline:(Unix.gettimeofday () +. 1.0)
+                 fd refusal);
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            go (n + 1))
+  in
+  go 0
+
+let drain_backlog sock = drain_parked server_meters sock
+
+(* Thread-per-connection accept loop.  Sys-threads (one domain) are the
+   right tool here: requests serialize on the gate lock anyway, so the
+   concurrency win is connection I/O overlap, and the select-based
+   reader keeps every blocking point deadline-bounded.  [quit] is
+   connection-scoped in socket mode (it closes that client's session);
+   {!stop} is what ends the service. *)
+let serve_socket_with svc ?(backlog = default_backlog) t ~path =
+  if backlog < 1 then invalid_arg "Nd_server.serve_socket: backlog must be >= 1";
+  let g = svc.gate t in
+  let cfg = g.config in
+  (* a peer closing mid-write must surface as EPIPE on the write, never
+     as a process-killing signal *)
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+   with Invalid_argument _ | Sys_error _ -> ());
+  (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+  @@ fun () ->
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock backlog;
+  (* live_fds: connections still open, so a stopping service can unblock
+     their readers; threads: every connection thread ever spawned,
+     joined before returning (joining a finished thread is free).  Both
+     under [reg_m]; a connection thread removes its own fd before
+     closing it, so the shutdown sweep never touches a recycled
+     descriptor. *)
+  let reg_m = Mutex.create () in
+  let live_fds = ref [] in
+  let threads = ref [] in
+  let io_deadline () =
+    Option.map
+      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+      cfg.io_timeout_ms
+  in
+  let conn fd =
+    let s = svc.session t in
+    let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+    let emit lines = emit_lines ?deadline:(io_deadline ()) fd lines in
+    let rec loop () =
+      match recv_request g fd buf chunk with
+      | `Eof -> ()
+      | `Stopped -> ignore (emit [ "bye" ])
+      | `Idle ->
+          (* the idle reaper: a polite bye, then the connection closes *)
+          Metrics.incr g.meters.m_idle_reaped;
+          ignore (emit [ "bye" ])
+      | `Timeout ->
+          Metrics.incr g.meters.m_io_timeouts;
+          ignore
+            (emit
+               [
+                 hygiene_error g
+                   (Printf.sprintf
+                      "request line stalled past io-timeout-ms=%d"
+                      (Option.value ~default:0 cfg.io_timeout_ms));
+               ])
+      | `Too_long ->
+          Metrics.incr g.meters.m_oversized_lines;
+          ignore
+            (emit
+               [
+                 hygiene_error g
+                   (Printf.sprintf "request line exceeds max-line-bytes=%d"
+                      cfg.max_line_bytes);
+               ])
+      | `Line line -> (
+          match emit (handle_with svc s line) with
+          | `Timeout | `Closed -> ()
+          | `Sent ->
+              if svc.quitting s then ()
+              else if g.stopped then ignore (emit [ "bye" ])
+              else loop ())
+    in
+    (try loop () with Sys_error _ -> ());
+    Mutex.protect reg_m (fun () ->
+        live_fds := List.filter (fun fd' -> fd' != fd) !live_fds);
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let rec accept_loop () =
+    if g.stopped then ()
+    else
+      (* wake periodically so a stop is honored even while no client is
+         connecting *)
+      match Unix.select [ sock ] [] [] 0.2 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+      | [], _, _ -> accept_loop ()
+      | _ when g.stopped ->
+          (* a connection that arrived after the stop stays parked: the
+             backlog drain below refuses it *)
+          ()
+      | _ ->
+          (match accept_nonblock sock with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | fd -> (
+              let over =
+                match cfg.max_conns with
+                | Some m ->
+                    Mutex.protect reg_m (fun () -> List.length !live_fds) >= m
+                | None -> false
+              in
+              if over then begin
+                (* connection-level shedding: a structured refusal, then
+                   close — never an unbounded accept queue *)
+                Metrics.incr g.meters.m_conns_rejected;
+                ignore
+                  (send_all
+                     ~deadline:(Unix.gettimeofday () +. 1.0)
+                     fd
+                     (Printf.sprintf
+                        "err overloaded rid=0 span=0 retry-after-ms=%d \
+                         connection limit %d reached\nbye\n"
+                        cfg.retry_after_ms
+                        (Option.value ~default:0 cfg.max_conns)));
+                try Unix.close fd with Unix.Unix_error _ -> ()
+              end
+              else begin
+                Mutex.protect reg_m (fun () -> live_fds := fd :: !live_fds);
+                threads := Thread.create conn fd :: !threads
+              end));
+          accept_loop ()
+  in
+  accept_loop ();
+  (* drain, in dependency order: first the connections parked in the
+     kernel backlog (refused with [err shutting-down]), then the live
+     readers are unblocked (their loops emit a final [bye]), then every
+     connection thread is joined *)
+  ignore (drain_parked g.meters sock);
+  List.iter
+    (fun fd ->
+      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    (Mutex.protect reg_m (fun () -> !live_fds));
+  List.iter Thread.join !threads
+
+(* ---------------- the engine service ---------------- *)
+
 type cursor = Unstarted | At of int array | Exhausted
 
 type counts = {
@@ -88,34 +700,10 @@ type counts = {
   shutting_down : int;
 }
 
-(* State shared by every session over one engine handle.  Two locks
-   with distinct jobs: [lock] serializes request *processing* (one
-   prepared handle, many connections — answering mutates the solution
-   cache, so requests are dispatched one at a time while connection I/O
-   overlaps freely); [adm] protects only the admission state (counters
-   and the in-flight gauge) so an overloaded request can be shed in
-   O(1) without ever waiting on the engine.  [adm] is never taken while
-   holding [lock]'s critical work — its sections are a few loads and
-   stores. *)
-type shared = {
-  lock : Mutex.t;
-  adm : Mutex.t;
-  stop : bool ref;
-  mutable inflight : int;
-  mutable c_requests : int;
-  mutable c_ok : int;
-  mutable c_user : int;
-  mutable c_budget : int;
-  mutable c_internal : int;
-  mutable c_overloaded : int;
-  mutable c_shutting_down : int;
-}
-
 type t = {
   eng : Nd_engine.t;
-  config : config;
   own : ownership option;
-  sh : shared;
+  gate : gate;
   mutable cursor : cursor;
   mutable quit : bool;
 }
@@ -157,75 +745,37 @@ let create ?(config = default_config) eng =
   in
   {
     eng;
-    config;
     own;
-    sh =
-      {
-        lock = Mutex.create ();
-        adm = Mutex.create ();
-        stop = ref false;
-        inflight = 0;
-        c_requests = 0;
-        c_ok = 0;
-        c_user = 0;
-        c_budget = 0;
-        c_internal = 0;
-        c_overloaded = 0;
-        c_shutting_down = 0;
-      };
+    gate = gate server_meters ~epoch:(fun () -> Nd_engine.epoch eng) config;
     cursor = Unstarted;
     quit = false;
   }
 
 (* A per-connection session: own enumeration cursor and quit flag,
-   everything else (engine, config, locks, stop, counters) shared with
-   the parent. *)
+   everything else (engine, gate: config, locks, stop, counters) shared
+   with the parent. *)
 let session t = { t with cursor = Unstarted; quit = false }
 
 let counts t =
+  let r = replies t.gate in
   {
-    requests = t.sh.c_requests;
-    ok = t.sh.c_ok;
-    user_errors = t.sh.c_user;
-    budget_errors = t.sh.c_budget;
-    internal_errors = t.sh.c_internal;
-    overloaded = t.sh.c_overloaded;
-    shutting_down = t.sh.c_shutting_down;
+    requests = requests t.gate;
+    ok = r "ok";
+    user_errors = r "user";
+    budget_errors = r "budget";
+    internal_errors = r "internal";
+    overloaded = r "overloaded";
+    shutting_down = r "shutting-down";
   }
 
 let quitting t = t.quit
 
-let request_stop t = t.sh.stop := true
-
-(* ---------------- request parsing / formatting ---------------- *)
-
-let fmt_tuple a =
-  String.concat "," (Array.to_list (Array.map string_of_int a))
-
-let parse_tuple s =
-  if String.trim s = "" then [||]
-  else
-    Array.of_list
-      (List.map
-         (fun field ->
-           match int_of_string_opt (String.trim field) with
-           | Some v -> v
-           | None ->
-               Nd_error.user_errorf
-                 "bad tuple %S (expected comma-separated integers)" s)
-         (String.split_on_char ',' s))
-
-let split_command line =
-  match String.index_opt line ' ' with
-  | None -> (line, "")
-  | Some i ->
-      ( String.sub line 0 i,
-        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+let request_stop t = stop t.gate
 
 (* ---------------- per-request resource governance ---------------- *)
 
 let with_request_budget t f =
-  match (t.config.request_budget_ops, t.config.request_timeout_ms) with
+  match (t.gate.config.request_budget_ops, t.gate.config.request_timeout_ms) with
   | None, None -> f ()
   | ops, tmo -> (
       let b = Budget.create ?max_ops:ops ?timeout_ms:tmo () in
@@ -328,21 +878,6 @@ let page t k =
     t.cursor <- final;
     (List.rev !acc, exhausted)
 
-let cmd_enumerate t arg =
-  let k =
-    if arg = "" then t.config.max_enumerate
-    else
-      match int_of_string_opt arg with
-      | Some k when k > 0 -> min k t.config.max_enumerate
-      | _ -> Nd_error.user_errorf "enumerate: bad page size %S" arg
-  in
-  let sols, exhausted = with_request_budget t (fun () -> page t k) in
-  List.map (fun s -> "sol " ^ fmt_tuple s) sols
-  @ [
-      Printf.sprintf "end %d%s" (List.length sols)
-        (if exhausted then " complete" else "");
-    ]
-
 (* Mutations invalidate the enumeration cursor: the solution order over
    the new graph need not extend the old page sequence, so a stale
    cursor could skip or duplicate answers.  Every successful update
@@ -356,7 +891,7 @@ let absorb t muts =
       List.iter
         (fun m ->
           Nd_engine.update t.eng m;
-          match t.config.journal with
+          match t.gate.config.journal with
           | None -> ()
           | Some sink -> sink (Nd_graph.Cgraph.mutation_to_string m))
         muts);
@@ -370,21 +905,6 @@ let absorb t muts =
       | `Stale_rebuild _ -> " stale_rebuild"
       | `Fallback _ -> " fallback");
   ]
-
-let cmd_update t arg =
-  if arg = "" then Nd_error.user_errorf "update: missing mutation"
-  else absorb t [ Nd_graph.Cgraph.mutation_of_string arg ]
-
-let cmd_batch_update t arg =
-  let muts =
-    List.filter_map
-      (fun s ->
-        let s = String.trim s in
-        if s = "" then None else Some (Nd_graph.Cgraph.mutation_of_string s))
-      (String.split_on_char ';' arg)
-  in
-  if muts = [] then Nd_error.user_errorf "batch-update: no mutations given"
-  else absorb t muts
 
 let mode_word t =
   match Nd_engine.degradation t.eng with
@@ -429,9 +949,11 @@ let dispatch t line =
             Nd_engine.test t.eng tup && owns_tuple t tup)
       in
       `Ok [ string_of_bool r ]
-  | "enumerate" -> `Ok (cmd_enumerate t arg)
-  | "update" -> `Ok (cmd_update t arg)
-  | "batch-update" -> `Ok (cmd_batch_update t arg)
+  | "enumerate" ->
+      `Ok
+        (enumerate_reply ~max_enumerate:t.gate.config.max_enumerate arg
+           (fun k -> with_request_budget t (fun () -> page t k)))
+  | "update" | "batch-update" -> `Ok (absorb t (mutations cmd arg))
   | "epoch" -> `Ok [ Printf.sprintf "epoch %d" (Nd_engine.epoch t.eng) ]
   | "reset" ->
       t.cursor <- Unstarted;
@@ -447,7 +969,7 @@ let dispatch t line =
            (fun l -> l <> "")
            (String.split_on_char '\n' (Nd_trace.Prometheus.render_current ())))
   | "health" -> `Ok (cmd_health t)
-  | "inject" when t.config.chaos -> (
+  | "inject" when t.gate.config.chaos -> (
       (* deliberate fault injection, for proving request isolation:
          the raise happens *inside* the handler, exactly where a real
          bug would fire *)
@@ -472,480 +994,10 @@ let dispatch t line =
       Nd_error.user_errorf "unknown command %S (try next/test/enumerate/update/batch-update/epoch/reset/stats/metrics/health/quit)"
         cmd
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* One JSONL row per handled request: the event log gets the plain row,
-   the flight recorder (when armed) the same row extended with the
-   engine epoch — the join key a post-mortem needs against the
-   restarted worker's journal-replayed boot epoch.  ts_us is integer
-   wall-clock microseconds: whole seconds were too coarse to order
-   events across fleet processes. *)
-let log_event t ~t0 ~rid ~span ~cmd ~status ~latency_us ~lines =
-  let row ?epoch () =
-    Printf.sprintf
-      "{\"ts_us\":%d,\"rid\":%d,\"span\":%d,\"cmd\":\"%s\",\"status\":\"%s\"%s,\"latency_us\":%d,\"lines\":%d}"
-      (int_of_float (t0 *. 1e6))
-      rid span (json_escape cmd) status
-      (match epoch with
-      | None -> ""
-      | Some e -> Printf.sprintf ",\"epoch\":%d" e)
-      latency_us lines
-  in
-  (match t.config.event_log with None -> () | Some sink -> sink (row ()));
-  match t.config.flight with
-  | None -> ()
-  | Some sink -> sink (row ~epoch:(Nd_engine.epoch t.eng) ())
-
-(* Admission: decided under [adm] only, never the engine lock — a shed
-   verdict must stay O(1) even while the engine is pinned by a slow
-   request.  The in-flight gauge counts requests admitted past the gate
-   (processing or queued on the engine lock); it is released in the
-   [Fun.protect] finalizer of {!handle}. *)
-let admit t =
-  Mutex.protect t.sh.adm @@ fun () ->
-  t.sh.c_requests <- t.sh.c_requests + 1;
-  Metrics.incr m_requests;
-  let rid = t.sh.c_requests in
-  if !(t.sh.stop) then begin
-    t.sh.c_shutting_down <- t.sh.c_shutting_down + 1;
-    Metrics.incr m_err_shutting_down;
-    `Reject (rid, "shutting-down", "server is draining")
-  end
-  else
-    match t.config.max_inflight with
-    | Some m when t.sh.inflight >= m ->
-        t.sh.c_overloaded <- t.sh.c_overloaded + 1;
-        Metrics.incr m_err_overloaded;
-        `Reject
-          ( rid,
-            "overloaded",
-            Printf.sprintf "retry-after-ms=%d in-flight limit %d reached"
-              t.config.retry_after_ms m )
-    | _ ->
-        t.sh.inflight <- t.sh.inflight + 1;
-        `Admit rid
-
-let tally t f = Mutex.protect t.sh.adm f
-
-let handle t line =
-  let line = String.trim line in
-  if line = "" then []
-  else begin
-    let cmd, _ = split_command line in
-    let t0 = Unix.gettimeofday () in
-    match admit t with
-    | `Reject (rid, cls, msg) ->
-        let reply = [ Printf.sprintf "err %s rid=%d span=0 %s" cls rid msg ] in
-        let latency_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-        Metrics.observe h_latency latency_us;
-        log_event t ~t0 ~rid ~span:0 ~cmd ~status:cls ~latency_us ~lines:1;
-        reply
-    | `Admit rid ->
-        Fun.protect
-          ~finally:(fun () -> tally t (fun () -> t.sh.inflight <- t.sh.inflight - 1))
-        @@ fun () ->
-        (* the engine lock spans parsing through reply construction: the
-           engine handle, the global budget slot and the tracer's span
-           stack are all single-writer under it; only the connection I/O
-           and the admission gate run outside *)
-        Mutex.protect t.sh.lock @@ fun () ->
-        (* span = the tracer's id for this request (0 with tracing off);
-           stamped with rid into every error terminator and event-log line
-           so a failing request joins to its trace. *)
-        let span = ref 0 in
-        let status = ref "ok" in
-        let err cls m =
-          status := cls;
-          Printf.sprintf "err %s rid=%d span=%d %s" cls rid !span m
-        in
-        (* the optional trailing trace=<id>:<span> request attribute:
-           stripped before dispatch; a valid context re-parents this
-           request's span across the process boundary (the merge
-           resolves the ctx.* attrs), a malformed one is a structured
-           user error naming the attribute — never a protocol desync *)
-        let base, ctx = Nd_obs.Ctx.split_line line in
-        let ctx_attrs =
-          match ctx with Some (Ok c) -> Nd_obs.Ctx.attrs c | _ -> []
-        in
-        let reply =
-          Nd_trace.with_span "server.request"
-            ~attrs:(("rid", string_of_int rid) :: ("cmd", cmd) :: ctx_attrs)
-          @@ fun () ->
-          span := Nd_trace.current_span_id ();
-          (* Request isolation: every failure class an answering call can
-             produce becomes a structured terminator line.  The final
-             catch-all exists because an unexpected exception must degrade
-             to an error reply, never to a dead loop. *)
-          match
-            (match ctx with
-            | Some (Error m) ->
-                Nd_error.user_errorf "bad trace= attribute: %s" m
-            | _ -> ());
-            dispatch t base
-          with
-          | `Ok lines ->
-              tally t (fun () -> t.sh.c_ok <- t.sh.c_ok + 1);
-              Metrics.incr m_ok;
-              lines @ [ "ok" ]
-          | `Bye ->
-              status := "bye";
-              [ "bye" ]
-          | exception (Nd_error.User_error m | Invalid_argument m | Failure m) ->
-              tally t (fun () -> t.sh.c_user <- t.sh.c_user + 1);
-              Metrics.incr m_err_user;
-              [ err "user" m ]
-          | exception Nd_error.Budget_exceeded info ->
-              tally t (fun () -> t.sh.c_budget <- t.sh.c_budget + 1);
-              Metrics.incr m_err_budget;
-              [ err "budget" (Nd_error.describe_budget info) ]
-          | exception Nd_error.Internal_invariant m ->
-              tally t (fun () -> t.sh.c_internal <- t.sh.c_internal + 1);
-              Metrics.incr m_err_internal;
-              [ err "internal" m ]
-          | exception Stack_overflow ->
-              tally t (fun () -> t.sh.c_internal <- t.sh.c_internal + 1);
-              Metrics.incr m_err_internal;
-              [ err "internal" "stack overflow in request handler" ]
-          | exception e ->
-              tally t (fun () -> t.sh.c_internal <- t.sh.c_internal + 1);
-              Metrics.incr m_err_internal;
-              [ err "internal" ("uncaught exception: " ^ Printexc.to_string e) ]
-        in
-        let latency_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-        Metrics.observe h_latency latency_us;
-        log_event t ~t0 ~rid ~span:!span ~cmd ~status:!status ~latency_us
-          ~lines:(List.length reply);
-        reply
-  end
-
-(* ---------------- the loop ---------------- *)
-
-let serve t ic oc =
-  let emit lines =
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      lines;
-    flush oc
-  in
-  let rec loop () =
-    if !(t.sh.stop) then emit [ "bye" ]
-    else
-      match input_line ic with
-      | exception End_of_file -> ()
-      | line ->
-          (* the reply is written and flushed in full before the stop
-             flag is consulted: that is the drain guarantee (a request
-             racing the flag itself gets [err shutting-down] from the
-             admission gate rather than a dropped line) *)
-          emit (handle t line);
-          if t.quit then ()
-          else if !(t.sh.stop) then emit [ "bye" ]
-          else loop ()
-  in
-  loop ()
-
-let default_backlog = 64
-
-(* ---------------- hygiene-bounded socket I/O ---------------- *)
-
-(* Bounded write: select-gated so a peer that stops reading cannot
-   wedge the connection thread past [deadline]. *)
-let send_all ?deadline fd s =
-  let len = String.length s in
-  let rec go off =
-    if off >= len then `Sent
-    else
-      let now = Unix.gettimeofday () in
-      match deadline with
-      | Some dl when now >= dl -> `Timeout
-      | _ -> (
-          let wait =
-            match deadline with
-            | None -> 0.5
-            | Some dl -> Float.min 0.5 (Float.max 0.0 (dl -. now))
-          in
-          match Unix.select [] [ fd ] [] wait with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-          | exception Unix.Unix_error (Unix.EBADF, _, _) -> `Closed
-          | _, [], _ -> go off
-          | _ -> (
-              match Unix.write_substring fd s off (len - off) with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-              | exception Unix.Unix_error _ -> `Closed
-              | n -> go (off + n)))
-  in
-  go 0
-
-let emit_lines ?deadline fd lines =
-  if lines = [] then `Sent
-  else send_all ?deadline fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
-
-(* First complete line out of the receive buffer ('\n'-terminated,
-   optional '\r' stripped); the remainder stays buffered for pipelined
-   requests. *)
-let take_line buf =
-  let s = Buffer.contents buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-      Buffer.clear buf;
-      Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-      let last = if i > 0 && s.[i - 1] = '\r' then i - 1 else i in
-      Some (String.sub s 0 last)
-
-(* The bounded request-line reader — every connection-hygiene deadline
-   lives here.  Select ticks at most 0.2s so the stop flag is honored
-   promptly; [io_timeout_ms] bounds how long a *started* line may
-   trickle in (slow-loris), [idle_timeout_ms] bounds the quiet gap
-   between requests (the idle reaper), [max_line_bytes] bounds the
-   line buffer (memory hygiene).  A complete buffered line is returned
-   even when the stop flag is already up: the admission gate turns it
-   into [err shutting-down] instead of dropping it silently. *)
-let recv_request t fd buf =
-  let chunk = Bytes.create 4096 in
-  let start = Unix.gettimeofday () in
-  let first_byte = ref (if Buffer.length buf > 0 then Some start else None) in
-  let to_s ms = float_of_int ms /. 1000. in
-  let rec loop () =
-    match take_line buf with
-    | Some line ->
-        if String.length line > t.config.max_line_bytes then `Too_long
-        else `Line line
-    | None ->
-        if Buffer.length buf > t.config.max_line_bytes then `Too_long
-        else if !(t.sh.stop) then `Stopped
-        else begin
-          let now = Unix.gettimeofday () in
-          let deadline =
-            match !first_byte with
-            | Some tb ->
-                Option.map (fun ms -> tb +. to_s ms) t.config.io_timeout_ms
-            | None ->
-                Option.map (fun ms -> start +. to_s ms) t.config.idle_timeout_ms
-          in
-          match deadline with
-          | Some dl when now >= dl ->
-              if !first_byte = None then `Idle else `Timeout
-          | _ -> (
-              let wait =
-                match deadline with
-                | None -> 0.2
-                | Some dl -> Float.min 0.2 (Float.max 0.0 (dl -. now))
-              in
-              match Unix.select [ fd ] [] [] wait with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-              | exception Unix.Unix_error (Unix.EBADF, _, _) -> `Eof
-              | [], _, _ -> loop ()
-              | _ -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-                  | exception Unix.Unix_error _ -> `Eof
-                  | 0 ->
-                      (* EOF with a trailing unterminated line: serve it,
-                         like [input_line] would; the next read sees a
-                         clean EOF *)
-                      if Buffer.length buf > 0 then begin
-                        let line = Buffer.contents buf in
-                        Buffer.clear buf;
-                        if String.length line > t.config.max_line_bytes then
-                          `Too_long
-                        else `Line line
-                      end
-                      else `Eof
-                  | n ->
-                      if !first_byte = None then
-                        first_byte := Some (Unix.gettimeofday ());
-                      Buffer.add_subbytes buf chunk 0 n;
-                      loop ()))
-        end
-  in
-  loop ()
-
-(* A transport-hygiene violation becomes a synthesized request: it gets
-   a real rid, lands in the user-error counters and the event log, and
-   is answered with a structured [err user] line before the connection
-   closes. *)
-let hygiene_error t ~cmd msg =
-  let t0 = Unix.gettimeofday () in
-  let rid =
-    Mutex.protect t.sh.adm (fun () ->
-        t.sh.c_requests <- t.sh.c_requests + 1;
-        Metrics.incr m_requests;
-        t.sh.c_user <- t.sh.c_user + 1;
-        Metrics.incr m_err_user;
-        t.sh.c_requests)
-  in
-  log_event t ~t0 ~rid ~span:0 ~cmd ~status:"user" ~latency_us:0 ~lines:1;
-  Printf.sprintf "err user rid=%d span=0 %s" rid msg
-
-(* Drain connections parked in the kernel accept backlog at stop time:
-   each completed-but-unaccepted connection gets a structured refusal
-   and a clean close instead of the silent reset it would see when the
-   listen socket is unlinked.  Non-blocking; returns the number
-   drained. *)
-let drain_backlog sock =
-  let refusal = "err shutting-down rid=0 span=0 server is draining\nbye\n" in
-  let rec go n =
-    match Unix.select [ sock ] [] [] 0.0 with
-    | exception Unix.Unix_error _ -> n
-    | [], _, _ -> n
-    | _ -> (
-        match Unix.accept sock with
-        | exception Unix.Unix_error _ -> n
-        | fd, _ ->
-            Metrics.incr m_backlog_drained;
-            ignore
-              (send_all
-                 ~deadline:(Unix.gettimeofday () +. 1.0)
-                 fd refusal);
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            go (n + 1))
-  in
-  go 0
-
-(* Thread-per-connection accept loop.  Sys-threads (one domain) are the
-   right tool here: requests serialize on the engine lock anyway, so
-   the concurrency win is connection I/O overlap, and the select-based
-   reader keeps every blocking point deadline-bounded.  [quit] is
-   connection-scoped in socket mode (it closes that client's session);
-   {!request_stop} is what ends the server. *)
-let serve_socket ?(backlog = default_backlog) t ~path =
-  if backlog < 1 then invalid_arg "Nd_server.serve_socket: backlog must be >= 1";
-  (* a peer closing mid-write must surface as EPIPE on the write, never
-     as a process-killing signal *)
-  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  @@ fun () ->
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock backlog;
-  (* live_fds: connections still open, so a stopping server can unblock
-     their readers; threads: every connection thread ever spawned,
-     joined before returning (joining a finished thread is free).  Both
-     under [reg_m]; a connection thread removes its own fd before
-     closing it, so the shutdown sweep never touches a recycled
-     descriptor. *)
-  let reg_m = Mutex.create () in
-  let live_fds = ref [] in
-  let threads = ref [] in
-  let io_deadline () =
-    Option.map
-      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
-      t.config.io_timeout_ms
-  in
-  let conn fd =
-    let s = session t in
-    let buf = Buffer.create 256 in
-    let emit lines = emit_lines ?deadline:(io_deadline ()) fd lines in
-    let rec loop () =
-      match recv_request s fd buf with
-      | `Eof -> ()
-      | `Stopped -> ignore (emit [ "bye" ])
-      | `Idle ->
-          (* the idle reaper: a polite bye, then the connection closes *)
-          Metrics.incr m_idle_reaped;
-          ignore (emit [ "bye" ])
-      | `Timeout ->
-          Metrics.incr m_io_timeouts;
-          ignore
-            (emit
-               [
-                 hygiene_error s ~cmd:"(transport)"
-                   (Printf.sprintf
-                      "request line stalled past io-timeout-ms=%d"
-                      (Option.value ~default:0 t.config.io_timeout_ms));
-               ])
-      | `Too_long ->
-          Metrics.incr m_oversized_lines;
-          ignore
-            (emit
-               [
-                 hygiene_error s ~cmd:"(transport)"
-                   (Printf.sprintf "request line exceeds max-line-bytes=%d"
-                      t.config.max_line_bytes);
-               ])
-      | `Line line -> (
-          match emit (handle s line) with
-          | `Timeout | `Closed -> ()
-          | `Sent ->
-              if s.quit then ()
-              else if !(s.sh.stop) then ignore (emit [ "bye" ])
-              else loop ())
-    in
-    (try loop () with Sys_error _ -> ());
-    Mutex.protect reg_m (fun () ->
-        live_fds := List.filter (fun fd' -> fd' != fd) !live_fds);
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let rec accept_loop () =
-    if !(t.sh.stop) then ()
-    else
-      (* wake periodically so request_stop is honored even while no
-         client is connecting *)
-      match Unix.select [ sock ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | [], _, _ -> accept_loop ()
-      | _ ->
-          (match Unix.accept sock with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | fd, _ -> (
-              let over =
-                match t.config.max_conns with
-                | Some m ->
-                    Mutex.protect reg_m (fun () -> List.length !live_fds) >= m
-                | None -> false
-              in
-              if over then begin
-                (* connection-level shedding: a structured refusal, then
-                   close — never an unbounded accept queue *)
-                Metrics.incr m_conns_rejected;
-                ignore
-                  (send_all
-                     ~deadline:(Unix.gettimeofday () +. 1.0)
-                     fd
-                     (Printf.sprintf
-                        "err overloaded rid=0 span=0 retry-after-ms=%d \
-                         connection limit %d reached\nbye\n"
-                        t.config.retry_after_ms
-                        (Option.value ~default:0 t.config.max_conns)));
-                try Unix.close fd with Unix.Unix_error _ -> ()
-              end
-              else begin
-                Mutex.protect reg_m (fun () -> live_fds := fd :: !live_fds);
-                threads := Thread.create conn fd :: !threads
-              end));
-          accept_loop ()
-  in
-  accept_loop ();
-  (* drain, in dependency order: first the connections parked in the
-     kernel backlog (refused with [err shutting-down]), then the live
-     readers are unblocked (their loops emit a final [bye]), then every
-     connection thread is joined *)
-  ignore (drain_backlog sock);
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    (Mutex.protect reg_m (fun () -> !live_fds));
-  List.iter Thread.join !threads
+let service = { gate = (fun t -> t.gate); session; dispatch; quitting }
+let handle t line = handle_with service t line
+let serve t ic oc = serve_with service t ic oc
+let serve_socket ?backlog t ~path = serve_socket_with service ?backlog t ~path
 
 (* ---------------- supervisor ---------------- *)
 
@@ -1153,6 +1205,8 @@ module Client = struct
     in
     go 1
 
+  let is_terminator l = l = "ok" || l = "bye" || starts_with "err " l
+
   let channel_transport ic oc req =
     output_string oc req;
     output_char oc '\n';
@@ -1162,10 +1216,84 @@ module Client = struct
       | exception End_of_file -> List.rev acc
       | l ->
           let acc = l :: acc in
-          if l = "ok" || l = "bye" || starts_with "err " l then List.rev acc
-          else read acc
+          if is_terminator l then List.rev acc else read acc
     in
     read []
+
+  type conn = {
+    transport : transport;
+    read_reply : float -> string list option;
+    close : unit -> unit;
+  }
+
+  (* Channels would hide buffered bytes from select, which a resync
+     probe needs; this reader owns its buffer. *)
+  let fd_conn fd =
+    let buf = Buffer.create 256 in
+    let chunk = Bytes.create 4096 in
+    (* `Line / `Timeout / raises on EOF and hard errors so the caller's
+       transport classification fires *)
+    let recv_line ~deadline =
+      let rec loop () =
+        match take_line buf with
+        | Some l -> `Line l
+        | None -> (
+            let now = Unix.gettimeofday () in
+            if now >= deadline then `Timeout
+            else
+              match Unix.select [ fd ] [] [] (Float.min 0.5 (deadline -. now)) with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+              | [], _, _ -> loop ()
+              | _ -> (
+                  match Unix.read fd chunk 0 (Bytes.length chunk) with
+                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+                  | 0 -> raise End_of_file
+                  | n ->
+                      Buffer.add_subbytes buf chunk 0 n;
+                      loop ()))
+      in
+      loop ()
+    in
+    let read_rest first =
+      (* the rest of a started reply gets a generous fixed deadline *)
+      let deadline = Unix.gettimeofday () +. 600. in
+      let rec go acc =
+        let l =
+          match recv_line ~deadline with
+          | `Line l -> l
+          | `Timeout -> raise (Sys_error "reply stalled")
+        in
+        let acc = l :: acc in
+        if is_terminator l then List.rev acc else go acc
+      in
+      if is_terminator first then [ first ] else go [ first ]
+    in
+    let send_line s =
+      let msg = s ^ "\n" in
+      let len = String.length msg in
+      let rec go off =
+        if off < len then
+          match Unix.write_substring fd msg off (len - off) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+          | n -> go (off + n)
+      in
+      go 0
+    in
+    {
+      transport =
+        (fun req ->
+          send_line req;
+          match recv_line ~deadline:(Unix.gettimeofday () +. 600.) with
+          | `Line l -> read_rest l
+          | `Timeout -> raise (Sys_error "reply stalled"));
+      read_reply =
+        (fun wait ->
+          match recv_line ~deadline:(Unix.gettimeofday () +. wait) with
+          | `Line l -> Some (read_rest l)
+          | `Timeout -> None);
+      close = (fun () -> try Unix.close fd with Unix.Unix_error _ -> ());
+    }
+
 
   type connect_policy = {
     connect_retries : int;

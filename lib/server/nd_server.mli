@@ -9,6 +9,13 @@
     mapped through the {!Nd_error} taxonomy to a structured error
     reply, and the loop carries on.
 
+    The request envelope and the transport below are not the engine's
+    alone: the cluster router ({!Nd_cluster.Router}) runs the same
+    code with its own verbs (see {!section-loop}), so everything this
+    page says about rids, error classes, event rows, hygiene and drain
+    holds for a router socket too, with [router] in place of [server]
+    in span and metric names.
+
     {2 Protocol}
 
     One request per line; every reply is zero or more data lines
@@ -344,6 +351,143 @@ val serve_socket : ?backlog:int -> t -> path:string -> unit
     socket file on the way out.
     @raise Invalid_argument when [backlog < 1]. *)
 
+(** {1:loop The shared request loop}
+
+    [fodb serve] and the cluster router ({!Nd_cluster.Router}) answer
+    through the same code: one {e envelope} around every request and
+    one {e transport} around every connection, parameterized by the
+    verb dispatcher ({!service}) and the service's registry name
+    ({!meters}: ["server"] or ["router"]).
+
+    - Envelope ({!handle_with}): admission and rid, the
+      [<name>.request] span with its [trace=] context, the mapping of
+      every failure to [err <class> rid=… span=… <message>], the
+      [<name>.request_us] latency histogram, and the event-log and
+      flight rows.
+    - Transport ({!serve_with}, {!serve_socket_with}): the stdio loop,
+      the hygiene-bounded socket reader and writer, the accept loop,
+      the backlog drain and stop-then-join — all as documented for
+      {!serve} and {!serve_socket}, whose limits come from the gate's
+      {!config}. *)
+
+type reply_error = {
+  cls : string;  (** the error class, the word after [err] *)
+  msg : string;
+  shard : int option;  (** logged as the event row's ["shard"] field *)
+}
+
+exception Reply_error of reply_error
+(** Raised by a dispatcher to answer [err <cls> rid=… span=… <msg>];
+    the envelope counts it under [cls] like any other error class.
+    The router's [err unavailable] and its relayed shard verdicts are
+    this error. *)
+
+type meters
+(** A service's registry entries, every one named under the service:
+    [<name>.requests], [<name>.replies_ok], [<name>.errors.<class>]
+    (user, budget, internal, overloaded, shutting_down, unavailable;
+    any other class is registered on first use),
+    [<name>.request_us], and the transport's [<name>.conns_rejected],
+    [io_timeouts], [oversized_lines], [idle_reaped] and
+    [backlog_drained]. *)
+
+val meters : string -> meters
+(** Find-or-create the entries for a service name; the name is also
+    the span prefix ([<name>.request]) and the subject of the drain
+    refusal ([<name> is draining]). *)
+
+type gate
+(** The state every session of one service shares: config, the
+    request lock, the admission lock and in-flight gauge, the stop
+    flag, and the request and reply tallies. *)
+
+val gate : meters -> epoch:(unit -> int) -> config -> gate
+(** [epoch] is read for each flight row ({!config.flight}). *)
+
+val with_gate_lock : gate -> (unit -> 'a) -> 'a
+(** Run under the request lock — the lock every dispatch runs under. *)
+
+val stop : gate -> unit
+(** Stop every loop over this gate, as {!request_stop} does. *)
+
+val stopping : gate -> bool
+
+val requests : gate -> int
+(** Requests admitted or refused so far (the last rid issued). *)
+
+val replies : gate -> string -> int
+(** Replies so far with this event-row status: ["ok"], ["bye"] or an
+    error class. *)
+
+val event_row :
+  ts_us:int ->
+  rid:int ->
+  span:int ->
+  cmd:string ->
+  status:string ->
+  ?epoch:int ->
+  latency_us:int ->
+  lines:int ->
+  ?shard:int ->
+  unit ->
+  string
+(** One JSON event-log row, in the grammar above; [epoch] and [shard]
+    add their fields when given.  The router writes its lifecycle rows
+    ([cmd] ["(fence)"], ["(catchup)"], …) with it. *)
+
+type 's service = {
+  gate : 's -> gate;
+  session : 's -> 's;  (** a fresh per-connection session *)
+  dispatch : 's -> string -> [ `Ok of string list | `Bye ];
+      (** answer one request line (attribute already stripped) with its
+          data lines, or end the session; runs under the request lock
+          and may raise — the envelope maps every exception *)
+  quitting : 's -> bool;  (** the session served [quit] *)
+}
+
+val handle_with : 's service -> 's -> string -> string list
+(** The envelope: {!handle} for any service. *)
+
+val serve_with : 's service -> 's -> in_channel -> out_channel -> unit
+(** The stdio loop: {!serve} for any service. *)
+
+val serve_socket_with :
+  's service -> ?backlog:int -> 's -> path:string -> unit
+(** The socket transport: {!serve_socket} for any service. *)
+
+val take_line : Buffer.t -> string option
+(** Remove and return the first complete line of a receive buffer
+    (['\n']-terminated, one trailing ['\r'] stripped); [None] when no
+    line is complete.  The socket reader and the router's shard links
+    both split lines with it. *)
+
+(** {2 Wire syntax shared with the router} *)
+
+val fmt_tuple : int array -> string
+(** [3,0] *)
+
+val parse_tuple : string -> int array
+(** The inverse of {!fmt_tuple}; [""] is the empty tuple.
+    @raise Nd_error.User_error on a non-integer field. *)
+
+val split_command : string -> string * string
+(** The verb and the trimmed rest of a request line. *)
+
+val mutations : string -> string -> Nd_graph.Cgraph.mutation list
+(** [mutations verb arg]: the one mutation of [update], or the
+    [;]-separated mutations of [batch-update].
+    @raise Nd_error.User_error when none is given or one is malformed. *)
+
+val enumerate_reply :
+  max_enumerate:int ->
+  string ->
+  (int -> int array list * bool) ->
+  string list
+(** [enumerate_reply ~max_enumerate arg page]: the page size [arg]
+    asks for (default and cap [max_enumerate]), then the [sol] lines
+    and the [end N [complete]] line of [page k]'s solutions.
+    @raise Nd_error.User_error on a bad page size. *)
+
 (** {1 Crash-recovery supervisor}
 
     Restart-on-crash with exponential backoff and a crash-count
@@ -426,8 +570,9 @@ end
 
     The retrying client used by the integration tests and CI: a
     {!Client.transport} abstracts {e how} a request line reaches a
-    server (direct {!handle} call in-process, or channels over a pipe /
-    socket), and {!Client.call} layers bounded retries with full-jitter
+    server (direct {!handle} call in-process, channels over a pipe /
+    socket, or the buffered {!Client.fd_conn} the router's shard links
+    use), and {!Client.call} layers bounded retries with full-jitter
     exponential backoff on top.
 
     {2 Retry policy}
@@ -505,6 +650,27 @@ module Client : sig
       line yields [[]] (status [Closed]); EOF mid-reply yields the
       partial reply (status {!Transport_error}, hence retried by
       {!call} on a fresh transport). *)
+
+  type conn = {
+    transport : transport;
+    read_reply : float -> string list option;
+        (** read one already-queued reply, waiting at most the given
+            seconds for its first line ([None] when nothing arrives) —
+            the resync primitive the router's connect handshake uses to
+            absorb a garbage-injected extra reply (see DESIGN S16);
+            connections that cannot be desynced may return [None]
+            unconditionally *)
+    close : unit -> unit;
+  }
+
+  val fd_conn : Unix.file_descr -> conn
+  (** A buffered connection over a connected socket (see {!connect}):
+      [transport] writes the request line and reads lines until a
+      terminator, giving a reply at most 600 s.  EOF raises
+      [End_of_file] and a stalled reply [Sys_error], which callers
+      classify as transport failures.  It owns its read buffer, so
+      [read_reply] sees bytes a channel would have hidden from
+      select. *)
 
   type connect_policy = {
     connect_retries : int;  (** extra connect attempts after the first *)

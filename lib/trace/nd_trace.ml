@@ -193,67 +193,7 @@ let set_trace_id id =
     invalid_arg "Nd_trace.set_trace_id: id must be non-empty [A-Za-z0-9._-]+";
   trace_id_ref := id
 
-(* ---------------- JSON writing helpers ---------------- *)
-
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-(* ---------------- Chrome trace-event export ---------------- *)
-
-let export_chrome () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"process\":{\"trace_id\":\"";
-  buf_escape b (trace_id ());
-  Buffer.add_string b
-    (Printf.sprintf "\",\"pid\":%d},\"traceEvents\":[" (Unix.getpid ()));
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "{\"name\":\"";
-      buf_escape b sp.name;
-      Buffer.add_string b
-        (Printf.sprintf "\",\"cat\":\"fodb\",\"ph\":\"X\",\"pid\":1,\"tid\":%d"
-           (sp.dom + 1));
-      Buffer.add_string b (Printf.sprintf ",\"ts\":%d,\"dur\":%d" sp.ts_us sp.dur_us);
-      Buffer.add_string b
-        (Printf.sprintf ",\"args\":{\"sid\":%d,\"parent\":%d,\"ops\":%d" sp.sid
-           sp.parent sp.ops);
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string b ",\"";
-          buf_escape b k;
-          Buffer.add_string b "\":\"";
-          buf_escape b v;
-          Buffer.add_string b "\"")
-        sp.attrs;
-      Buffer.add_string b "}}")
-    (spans ());
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
-
-let save_chrome ~path =
-  let n = !count in
-  let doc = export_chrome () in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc doc);
-  Sys.rename tmp path;
-  n
-
-(* ---------------- minimal JSON reader ---------------- *)
+(* ---------------- minimal JSON reader and writer ---------------- *)
 
 module Json = struct
   type t =
@@ -418,10 +358,70 @@ module Json = struct
       else Ok v
     with Bad (p, msg) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
+  let escape s =
+    let b = Buffer.create (String.length s) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+
   let member k = function
     | Obj fields -> List.assoc_opt k fields
     | _ -> None
 end
+
+(* ---------------- Chrome trace-event export ---------------- *)
+
+let export_chrome () =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "{\"process\":{\"trace_id\":\"";
+  Buffer.add_string b (Json.escape (trace_id ()));
+  Buffer.add_string b
+    (Printf.sprintf "\",\"pid\":%d},\"traceEvents\":[" (Unix.getpid ()));
+  List.iteri
+    (fun i sp ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b "{\"name\":\"";
+      Buffer.add_string b (Json.escape sp.name);
+      Buffer.add_string b
+        (Printf.sprintf "\",\"cat\":\"fodb\",\"ph\":\"X\",\"pid\":1,\"tid\":%d"
+           (sp.dom + 1));
+      Buffer.add_string b (Printf.sprintf ",\"ts\":%d,\"dur\":%d" sp.ts_us sp.dur_us);
+      Buffer.add_string b
+        (Printf.sprintf ",\"args\":{\"sid\":%d,\"parent\":%d,\"ops\":%d" sp.sid
+           sp.parent sp.ops);
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_string b ",\"";
+          Buffer.add_string b (Json.escape k);
+          Buffer.add_string b "\":\"";
+          Buffer.add_string b (Json.escape v);
+          Buffer.add_string b "\"")
+        sp.attrs;
+      Buffer.add_string b "}}")
+    (spans ());
+  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
+  Buffer.contents b
+
+let save_chrome ~path =
+  let n = !count in
+  let doc = export_chrome () in
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc doc);
+  Sys.rename tmp path;
+  n
 
 (* ---------------- Chrome trace validation ---------------- *)
 
@@ -533,7 +533,7 @@ module Prometheus = struct
     let rec go acc b =
       if b > Metrics.hist_clamp then List.rev acc else go (b :: acc) (b * 2)
     in
-    0 :: go [] 1
+    Array.of_list (0 :: go [] 1)
 
   let render (s : Metrics.snapshot) =
     let b = Buffer.create 4096 in
@@ -571,7 +571,7 @@ module Prometheus = struct
           (Printf.sprintf "Distribution of %s (integer-valued)." h.h_name);
         let nb = Array.length h.h_buckets in
         let cum = ref 0 and next = ref 0 in
-        List.iter
+        Array.iter
           (fun le ->
             while !next < nb && !next <= le do
               cum := !cum + h.h_buckets.(!next);

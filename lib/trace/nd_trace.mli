@@ -137,11 +137,12 @@ val validate_chrome : string -> (int, string) result
     must be contained in its parent's interval.  Returns the event
     count. *)
 
-(** {1 Minimal JSON reader}
+(** {1 Minimal JSON reader and string escaper}
 
     Just enough JSON to parse back what this repo emits (trace exports,
-    stats records, profile reports, JSONL event logs) in tests and
-    validators; not a general-purpose parser. *)
+    stats records, profile reports, JSONL event logs, bench results) in
+    tests and validators, and the one string escaper every emitter
+    uses; not a general-purpose parser. *)
 module Json : sig
   type t =
     | Null
@@ -156,6 +157,13 @@ module Json : sig
 
   val member : string -> t -> t option
   (** Field lookup on [Obj], [None] otherwise. *)
+
+  val escape : string -> string
+  (** The body of a JSON string literal for [s] (quotes not included):
+      ['"'], ['\\'], newline, CR and tab get their short escapes, the
+      other control bytes [\u00XX], every other byte passes through.
+      The repo's one JSON string writer; {!parse} reads every result
+      back to [s]. *)
 end
 
 (** {1 Prometheus text exposition} *)
@@ -172,6 +180,13 @@ module Prometheus : sig
 
   val render_current : unit -> string
   (** [render (Nd_util.Metrics.snapshot ())]. *)
+
+  val escape_label : string -> string
+  (** A label value's escaped form (['"'], ['\\'] and newline). *)
+
+  val bucket_bounds : int array
+  (** The [le] upper bounds every histogram renders: [0] and the powers
+      of two up to {!Nd_util.Metrics.hist_clamp}. *)
 
   val validate : string -> (int, string) result
   (** Line-format validator used by tests and CI: HELP/TYPE lines

@@ -850,6 +850,108 @@ let test_event_rows_shape () =
   in
   Alcotest.(check (list string)) "statuses" [ "ok"; "user"; "bye" ] statuses
 
+(* ---------------- the shared socket transport ---------------- *)
+
+(* Serve on a thread (fork is off the table once domains have been
+   spawned elsewhere in the binary) until [f path] returns, then stop
+   and join. *)
+let with_socket ~serve ~stop f =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nd_cluster_test_%d_%d.sock" (Unix.getpid ())
+         (int_of_float (Unix.gettimeofday () *. 1000.) land 0xffffff))
+  in
+  let th = Thread.create (fun () -> try serve ~path with _ -> ()) () in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      Thread.join th;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let rec wait tries =
+    if Sys.file_exists path then ()
+    else if tries = 0 then Alcotest.fail "socket never appeared"
+    else begin
+      Unix.sleepf 0.05;
+      wait (tries - 1)
+    end
+  in
+  wait 100;
+  f path
+
+let with_router_socket rt =
+  with_socket
+    ~serve:(fun ~path -> Nd_server.serve_socket_with Router.service rt ~path)
+    ~stop:(fun () -> Router.request_stop rt)
+
+(* One connection: write [bytes] in full, half-close, and return every
+   byte read until the peer closes (a reset after queued replies counts
+   as the close). *)
+let exchange path bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let rec send off =
+    if off < String.length bytes then
+      match Unix.write_substring fd bytes off (String.length bytes - off) with
+      | n -> send (off + n)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  send 0;
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let out = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec recv () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+    | n ->
+        Buffer.add_subbytes out chunk 0 n;
+        recv ()
+  in
+  recv ();
+  Buffer.contents out
+
+(* Regression: the router's socket loop read with [input_line], so one
+   client line could grow router memory without bound; it now shares
+   the server's bounded reader. *)
+let test_router_socket_caps_line_length () =
+  let rt, _, _ = fleet ~config:(rconfig ()) ~shards:2 ~replicas:1 () in
+  with_router_socket rt @@ fun path ->
+  Alcotest.(check string) "err user, then the connection closes"
+    "err user rid=1 span=0 request line exceeds max-line-bytes=65536\n"
+    (exchange path ("next " ^ String.make 69_995 '1' ^ "\nnext 0,0\n"))
+
+(* Regression: the router's accept loop had no backlog drain, so a
+   client connecting as it stopped saw a bare close. *)
+let test_router_socket_drains_backlog () =
+  let rt, _, _ = fleet ~config:(rconfig ()) ~shards:2 ~replicas:1 () in
+  with_router_socket rt @@ fun path ->
+  Router.request_stop rt;
+  Alcotest.(check string) "structured refusal, then bye"
+    "err shutting-down rid=0 span=0 router is draining\nbye\n"
+    (exchange path "next 0,0\n")
+
+(* One pipelined session, byte for byte, over a server socket and a
+   2-shard router socket: CRLF, a blank line, errors, pages, and a
+   trailing unterminated [quit] served at EOF. *)
+let test_router_socket_session_matches_server () =
+  let session =
+    "epoch\r\nnext 0,0\n\ntest 0,1\nenumerate 3\nenumerate 2\r\n\
+     frobnicate\nnext 1,x\nreset\nenumerate 1\nquit"
+  in
+  let served =
+    let srv = Server.create (Nd_engine.prepare (graph ()) (formula ())) in
+    with_socket
+      ~serve:(fun ~path -> Server.serve_socket srv ~path)
+      ~stop:(fun () -> Server.request_stop srv)
+      (fun path -> exchange path session)
+  in
+  let rt, _, _ = fleet ~config:(rconfig ()) ~shards:2 ~replicas:1 () in
+  let routed = with_router_socket rt (fun path -> exchange path session) in
+  Alcotest.(check bool) "the session ends in bye" true
+    (String.ends_with ~suffix:"\nbye\n" served);
+  Alcotest.(check string) "router socket = server socket" served routed
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_ownership_partition;
@@ -884,4 +986,10 @@ let suite =
       test_owned_next_cost;
     Alcotest.test_case "owner predicate = ownership" `Quick
       test_owner_predicate_compat;
+    Alcotest.test_case "router socket caps line length" `Quick
+      test_router_socket_caps_line_length;
+    Alcotest.test_case "router socket drains its backlog" `Quick
+      test_router_socket_drains_backlog;
+    Alcotest.test_case "router socket session = server socket" `Quick
+      test_router_socket_session_matches_server;
   ]

@@ -203,6 +203,17 @@ let test_validate_rejects_garbage () =
      \"args\":{\"sid\":1,\"parent\":0}},{\"name\":\"c\",\"ph\":\"X\",\
      \"ts\":5,\"dur\":100,\"args\":{\"sid\":2,\"parent\":1}}]}"
 
+(* The one JSON string escaper against the one reader, over every byte:
+   control bytes, quotes, backslashes and bytes >= 0x80 all come back
+   unchanged. *)
+let prop_json_escape_roundtrip =
+  QCheck.Test.make ~name:"Json.parse reads Json.escape back, any bytes"
+    ~count:500
+    QCheck.(string_gen Gen.(map Char.chr (int_bound 255)))
+    (fun s ->
+      Nd_trace.Json.parse ("\"" ^ Nd_trace.Json.escape s ^ "\"")
+      = Ok (Nd_trace.Json.Str s))
+
 (* --- instrumented layers actually emit spans ----------------------- *)
 
 let test_engine_emits_spans () =
@@ -239,6 +250,7 @@ let suite =
     Alcotest.test_case "Chrome export round-trip" `Quick test_chrome_roundtrip;
     Alcotest.test_case "validator rejects malformed traces" `Quick
       test_validate_rejects_garbage;
+    QCheck_alcotest.to_alcotest prop_json_escape_roundtrip;
     Alcotest.test_case "engine layers emit spans" `Quick
       test_engine_emits_spans;
   ]
