@@ -104,8 +104,10 @@ let check_engine_point i p =
             | Some (Num f) -> f > 0.
             | _ -> false
           in
-          if not (touched "store.reg_reads" || touched "store.reg_writes")
-          then err "%s: no store register touches recorded" path
+          (* inserts come from the enumeration, probes from the re-test
+             pass over its solutions that bench/main.ml runs on each row *)
+          if not (touched "engine.cache_inserts" && touched "engine.cache_probes")
+          then err "%s: the run did not both fill and consult the cache" path
       | Some _ -> err "%s.stats.counters: expected an object" path
       | None -> ())
   | None -> ()
@@ -494,10 +496,11 @@ let check_observability ob =
   | _ -> ()
 
 (* the storage gates (DESIGN S18): the flat-bank store must beat the
-   boxed implementation it replaced on the same op script, and the warm
-   (STOR bank adoption) load rung must beat replaying the CACH key list
-   through Store.add — both wall-clock, both strictly > 1, or the
-   refactor bought nothing *)
+   boxed implementation it replaced on the same op script, and adopting
+   a v4 file's ROWS words must beat rebuilding the cache rows from a v2
+   file's CACH key list — both wall-clock, both strictly > 1, or the
+   layout buys nothing.  The second times the [snapshot.cache] span
+   alone, since both loads share the ENGN unmarshal and the vetting *)
 let check_storage st =
   (match field "$.storage" st "flat" with
   | Some f -> (
@@ -549,11 +552,15 @@ let check_storage st =
       (match get_num path w "wall_replay_s" with
       | Some f when f <= 0. -> err "%s.wall_replay_s: non-positive" path
       | _ -> ());
+      ignore (get_num path w "revive_warm_s");
+      (match get_num path w "revive_replay_s" with
+      | Some f when f <= 0. -> err "%s.revive_replay_s: non-positive" path
+      | _ -> ());
       match get_num path w "speedup_warm" with
       | Some s when s <= 1.0 ->
           err
-            "%s.speedup_warm: %g — adopting the STOR banks is not faster \
-             than replaying the key list"
+            "%s.speedup_warm: %g — adopting the ROWS words is not faster \
+             than rebuilding the rows from the key list"
             path s
       | _ -> ())
   | None -> err "$.storage.warm: missing"

@@ -131,12 +131,6 @@ let trace_arg =
            updates) and write a Chrome trace-event JSON file loadable in \
            Perfetto or chrome://tracing.")
 
-let epsilon_arg =
-  Arg.(
-    value & opt float 0.5
-    & info [ "epsilon" ]
-        ~doc:"Storing-structure exponent (register trie degree n^ε).")
-
 let budget_ops_arg =
   Arg.(
     value
@@ -216,7 +210,7 @@ let run f =
 (* Build the engine handle; every query subcommand funnels through
    here.  Returns the handle plus an [emit] closure printing the
    requested stats report after the command body ran. *)
-let with_engine spec query colors seed epsilon stats stats_json prometheus
+let with_engine spec query colors seed stats stats_json prometheus
     trace budget_ops timeout_ms mutations jobs f =
  run @@ fun () ->
   let g = load spec ~colors ~seed in
@@ -230,7 +224,7 @@ let with_engine spec query colors seed epsilon stats stats_json prometheus
     else Some (Nd_util.Budget.create ?max_ops:budget_ops ?timeout_ms ())
   in
   let eng, prep =
-    time (fun () -> Nd_engine.prepare ~epsilon ~metrics ?budget ~jobs g phi)
+    time (fun () -> Nd_engine.prepare ~metrics ?budget ~jobs g phi)
   in
   if not (stats_json || prometheus) then begin
     Printf.printf "graph: %d vertices, %d edges, %d colors\n" (Cgraph.n g)
@@ -294,9 +288,9 @@ let with_engine spec query colors seed epsilon stats stats_json prometheus
 
 (* ---------------- subcommands ---------------- *)
 
-let enumerate spec query colors seed epsilon stats stats_json prometheus trace
+let enumerate spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs limit =
-  with_engine spec query colors seed epsilon stats stats_json prometheus trace
+  with_engine spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs (fun eng ->
       let quiet = stats_json || prometheus in
       let printed = ref 0 in
@@ -312,9 +306,9 @@ let enumerate spec query colors seed epsilon stats stats_json prometheus trace
       if not quiet then
         Printf.printf "%d solutions in %.3fs\n" !printed t)
 
-let count spec query colors seed epsilon stats stats_json prometheus trace
+let count spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs =
-  with_engine spec query colors seed epsilon stats stats_json prometheus trace
+  with_engine spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs (fun eng ->
       let r, t = time (fun () -> Nd_engine.count eng) in
       if not (stats_json || prometheus) then
@@ -335,9 +329,9 @@ let parse_tuple tuple =
                   tuple))
        (String.split_on_char ',' tuple))
 
-let test spec query colors seed epsilon stats stats_json prometheus trace
+let test spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs tuple =
-  with_engine spec query colors seed epsilon stats stats_json prometheus trace
+  with_engine spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs (fun eng ->
       let tup = parse_tuple tuple in
       let ans, t = time (fun () -> Nd_engine.test eng tup) in
@@ -345,9 +339,9 @@ let test spec query colors seed epsilon stats stats_json prometheus trace
         Printf.printf "%s ∈ q(G): %b  (%.6fs)\n"
           (Nd_util.Tuple.to_string tup) ans t)
 
-let next spec query colors seed epsilon stats stats_json prometheus trace
+let next spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs tuple =
-  with_engine spec query colors seed epsilon stats stats_json prometheus trace
+  with_engine spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs (fun eng ->
       let tup = parse_tuple tuple in
       let ans, t = time (fun () -> Nd_engine.next eng tup) in
@@ -362,9 +356,9 @@ let next spec query colors seed epsilon stats stats_json prometheus trace
 (* absorb mutations one at a time (per-mutation timing and epoch), then
    enumerate over the final graph — the demonstration that answers track
    mutations without a re-prepare *)
-let update spec query colors seed epsilon stats stats_json prometheus trace
+let update spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs mut_strs limit =
-  with_engine spec query colors seed epsilon stats stats_json prometheus trace
+  with_engine spec query colors seed stats stats_json prometheus trace
     budget_ops timeout_ms mutations jobs (fun eng ->
       let quiet = stats_json || prometheus in
       let muts = List.map Cgraph.mutation_of_string mut_strs in
@@ -464,7 +458,7 @@ let make_budget budget_ops timeout_ms =
   if budget_ops = None && timeout_ms = None then None
   else Some (Nd_util.Budget.create ?max_ops:budget_ops ?timeout_ms ())
 
-let snapshot_save spec query colors seed epsilon budget_ops timeout_ms warm
+let snapshot_save spec query colors seed budget_ops timeout_ms warm
     mutations jobs file =
  run @@ fun () ->
   let g = load spec ~colors ~seed in
@@ -472,7 +466,7 @@ let snapshot_save spec query colors seed epsilon budget_ops timeout_ms warm
   let budget = make_budget budget_ops timeout_ms in
   let jobs = resolve_jobs jobs in
   let eng, prep =
-    time (fun () -> Nd_engine.prepare ~epsilon ?budget ~jobs g phi)
+    time (fun () -> Nd_engine.prepare ?budget ~jobs g phi)
   in
   (* mutations first, warm after: the snapshot carries the mutated
      graph's epoch and a cache consistent with it *)
@@ -490,7 +484,7 @@ let snapshot_save spec query colors seed epsilon budget_ops timeout_ms warm
     (Nd_engine.cache_size eng)
     (Nd_engine.epoch eng)
 
-let snapshot_load spec query colors seed epsilon strict cold mutations journal
+let snapshot_load spec query colors seed strict cold mutations journal
     file =
  run @@ fun () ->
   let g = load spec ~colors ~seed in
@@ -520,7 +514,7 @@ let snapshot_load spec query colors seed epsilon strict cold mutations journal
     else
       let (eng, outcome), t =
         time (fun () ->
-            Nd_snapshot.load_or_rebuild ~epsilon ~warm ~journal ~path:file g
+            Nd_snapshot.load_or_rebuild ~warm ~journal ~path:file g
               phi)
       in
       (match outcome with
@@ -547,18 +541,14 @@ let snapshot_info file =
   | Ok i ->
       Printf.printf "format version: %d (built by OCaml %s)\n"
         i.Nd_snapshot.version i.Nd_snapshot.ocaml_version;
-      Printf.printf "warm store: %s\n"
-        (if i.Nd_snapshot.warmable then "yes (bank pages mmap-ready)"
-         else if i.Nd_snapshot.version >= 3 then "no (no store image)"
-         else "no (format 2 carries only the replay cache)");
+      Printf.printf "warm store: %s\n" (Nd_snapshot.describe_warm i);
       Printf.printf "query: %s (arity %d, hash %08x)\n" i.Nd_snapshot.query
         i.Nd_snapshot.arity i.Nd_snapshot.query_hash;
       Printf.printf "graph: %d vertices, %d edges, %d colors (fingerprint \
                      %08x)\n"
         i.Nd_snapshot.graph_n i.Nd_snapshot.graph_m i.Nd_snapshot.graph_colors
         i.Nd_snapshot.graph_fingerprint;
-      Printf.printf "epsilon: %g\ncached solutions: %d\n" i.Nd_snapshot.epsilon
-        i.Nd_snapshot.cached_solutions;
+      Printf.printf "cached solutions: %d\n" i.Nd_snapshot.cached_solutions;
       List.iter
         (fun s ->
           Printf.printf "section %s: %d bytes at offset %d, crc %08x\n"
@@ -595,7 +585,7 @@ let stop_on_signals stop =
     Sys.set_signal Sys.sigterm h
   with Invalid_argument _ | Sys_error _ -> ()
 
-let serve_worker spec query colors seed epsilon snapshot_file socket backlog
+let serve_worker spec query colors seed snapshot_file socket backlog
     request_budget_ops request_timeout_ms max_enumerate chaos event_log_file
     no_metrics trace jobs max_inflight max_conns io_timeout_ms idle_timeout_ms
     max_line_bytes retry_after_ms journal_file blackbox shard_index shard_count
@@ -633,7 +623,7 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
     match snapshot_file with
     | Some path ->
         let eng, outcome =
-          Nd_snapshot.load_or_rebuild ~epsilon
+          Nd_snapshot.load_or_rebuild
             ?journal:(if journal_muts = [] then None else Some journal_muts)
             ~path g phi
         in
@@ -645,7 +635,7 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
               (Nd_snapshot.describe c));
         eng
     | None ->
-        let eng = Nd_engine.prepare ~epsilon ~jobs:(resolve_jobs jobs) g phi in
+        let eng = Nd_engine.prepare ~jobs:(resolve_jobs jobs) g phi in
         if journal_muts <> [] then Nd_engine.update_batch eng journal_muts;
         eng
   in
@@ -739,14 +729,14 @@ let serve_worker spec query colors seed epsilon snapshot_file socket backlog
                     (shutting-down)\n%!"
       c.Nd_server.overloaded c.Nd_server.shutting_down
 
-let serve spec query colors seed epsilon snapshot_file socket backlog
+let serve spec query colors seed snapshot_file socket backlog
     request_budget_ops request_timeout_ms max_enumerate chaos event_log_file
     no_metrics trace jobs max_inflight max_conns io_timeout_ms idle_timeout_ms
     max_line_bytes retry_after_ms journal_file blackbox shard_index shard_count
     supervise max_crashes restart_backoff_ms restart_window_ms =
  run @@ fun () ->
   let worker () =
-    serve_worker spec query colors seed epsilon snapshot_file socket backlog
+    serve_worker spec query colors seed snapshot_file socket backlog
       request_budget_ops request_timeout_ms max_enumerate chaos event_log_file
       no_metrics trace jobs max_inflight max_conns io_timeout_ms
       idle_timeout_ms max_line_bytes retry_after_ms journal_file blackbox
@@ -1088,7 +1078,7 @@ let router spec query colors seed shards endpoints socket backlog
    optionally interpose chaos proxies, run the router over them.  The
    parent prepares with jobs=1 — no domain is ever spawned before the
    forks, which OCaml 5 requires. *)
-let cluster spec query colors seed epsilon shards replicas dir socket backlog
+let cluster spec query colors seed shards replicas dir socket backlog
     supervise differential mutations kill_replica probe_interval_ms no_fence
     chaos_links chaos_chunk chaos_delay_ms chaos_garbage chaos_cut_reply_after
     event_log_file trace blackbox metrics_socket =
@@ -1124,7 +1114,7 @@ let cluster spec query colors seed epsilon shards replicas dir socket backlog
   (* the boot snapshot every worker revives from (kill -9 recovery is
      exactly this snapshot plus the worker's own journal) *)
   let snap = Filename.concat dir "boot.snap" in
-  let single = Nd_engine.prepare ~epsilon ~jobs:1 g phi in
+  let single = Nd_engine.prepare ~jobs:1 g phi in
   ignore (Nd_snapshot.save ~path:snap single);
   let sock_path s r = Filename.concat dir (Printf.sprintf "w-%d-%d.sock" s r) in
   let chaos_path s r =
@@ -1145,8 +1135,7 @@ let cluster spec query colors seed epsilon shards replicas dir socket backlog
     let args =
       [
         Sys.executable_name; "serve"; "-g"; spec; "-q"; query; "--colors";
-        string_of_int colors; "--seed"; string_of_int seed; "--epsilon";
-        Printf.sprintf "%.17g" epsilon; "--socket"; sock_path s r;
+        string_of_int colors; "--seed"; string_of_int seed; "--socket"; sock_path s r;
         "--shard-index"; string_of_int s; "--shard-count";
         string_of_int shards; "--snapshot"; snap; "--journal";
         journal_path s r; "--jobs"; "1";
@@ -1536,7 +1525,7 @@ let tuple_arg =
 
 let query_args term =
   Term.(
-    term $ graph_arg $ query_arg $ colors_arg $ seed_arg $ epsilon_arg
+    term $ graph_arg $ query_arg $ colors_arg $ seed_arg
     $ stats_arg $ stats_json_arg $ prometheus_arg $ trace_arg $ budget_ops_arg
     $ timeout_ms_arg $ mutations_arg $ jobs_arg)
 
@@ -1665,7 +1654,7 @@ let cmd_snapshot =
          ~doc:"Prepare a handle and persist it to a snapshot file")
       Term.(
         const snapshot_save $ graph_arg $ query_arg $ colors_arg $ seed_arg
-        $ epsilon_arg $ budget_ops_arg $ timeout_ms_arg $ warm_arg
+        $ budget_ops_arg $ timeout_ms_arg $ warm_arg
         $ mutations_arg $ jobs_arg $ file_arg)
   in
   let load =
@@ -1676,13 +1665,13 @@ let cmd_snapshot =
             corruption unless $(b,--strict))")
       Term.(
         const snapshot_load $ graph_arg $ query_arg $ colors_arg $ seed_arg
-        $ epsilon_arg $ strict_arg
+        $ strict_arg
         $ Arg.(
             value & flag
             & info [ "cold" ]
                 ~doc:
-                  "Skip the warm (memory-mapped store) path and replay the \
-                   cache key list instead — same handle, portable speed.")
+                  "Copy the snapshot's cache rows instead of memory-mapping \
+                   them — same handle, portable speed.")
         $ mutations_arg
         $ Arg.(
             value
@@ -1764,7 +1753,6 @@ let cmd_serve =
           and connection hygiene")
     Term.(
       const serve $ graph_arg $ query_arg $ colors_arg $ seed_arg
-      $ epsilon_arg
       $ Arg.(
           value
           & opt (some string) None
@@ -2037,7 +2025,7 @@ let cmd_cluster =
           byte-for-byte against a single-node engine.")
     Term.(
       const cluster $ graph_arg $ query_arg $ colors_arg $ seed_arg
-      $ epsilon_arg $ shards_arg
+      $ shards_arg
       $ Arg.(
           value & opt int 1
           & info [ "replicas" ] ~docv:"R"

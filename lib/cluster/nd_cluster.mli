@@ -54,7 +54,7 @@
          [--probe-interval-ms N] [--no-fence]
          [--chaos-link S:R] [--chaos-garbage BYTES] [--chaos-chunk N]
          [--chaos-delay-ms N] [--chaos-cut-reply-after N]
-         [--epsilon E] [--colors K] [--seed S] [--event-log FILE]
+         [--colors K] [--seed S] [--event-log FILE]
     v}
 
     launches the whole fleet locally: [N×R] shard worker processes

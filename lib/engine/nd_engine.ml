@@ -1,7 +1,6 @@
 open Nd_util
 open Nd_graph
 open Nd_logic
-module Store = Nd_ram.Store
 
 (* Same histogram the direct Enumerate path observes into; the engine
    measures its own next-calls (cache-served or live) so both entry
@@ -10,13 +9,27 @@ let h_delay = Metrics.hist "enum.delay_ops"
 let m_cache_hits = Metrics.counter "engine.cache_hits"
 let m_cache_inserts = Metrics.counter "engine.cache_inserts"
 
+(* Row comparisons of the cache's binary search, one [add] per lookup:
+   machine work on the ops clock, so a cache-served call's delay is
+   its O(k·log c) search. *)
+let m_cache_probes = Metrics.counter ~ops:true "engine.cache_probes"
+
+type rows = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* The solution cache: [len] rows of [k] ints, strictly increasing in
+   lexicographic order, packed into one growable bank (row [i] holds
+   words [i·k, (i+1)·k)).  The frontier invariant below makes every
+   insert land above the last row and every eviction a suffix, so the
+   bank is only ever appended to and truncated. *)
 type cache = {
-  store : unit Store.t;
+  mutable rows : rows;
+  mutable len : int;
   limit : int;
   frontier : Tuple.t;
       (* a fixed k-buffer, meaningful only when [frontier_set]; updated
          by blit so steady-state enumeration allocates nothing here.
-         Invariant: every solution ≤ frontier is stored. *)
+         Invariant: every solution ≤ frontier is a row, and every row
+         is ≤ frontier (no frontier, no rows). *)
   mutable frontier_set : bool;
   mutable full : bool;  (* limit reached: stop inserting, freeze frontier *)
   mutable complete : bool;  (* every solution is stored *)
@@ -36,7 +49,6 @@ type t = {
   mutable g : Cgraph.t;
   phi : Fo.t;
   k : int;
-  epsilon : float;
   cache_limit : int;
   jobs : int;
   mutable kind : kind;
@@ -64,11 +76,14 @@ let unbudgeted f =
   Budget.install None;
   Fun.protect ~finally:(fun () -> Budget.install prev) f
 
-let make_cache ~cache_limit ~epsilon g k =
+let new_rows words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words
+
+let make_cache ~cache_limit g k =
   if cache_limit > 0 && Cgraph.n g > 0 then
     Some
       {
-        store = Store.create ~n:(Cgraph.n g) ~k ~epsilon;
+        rows = new_rows (k * min cache_limit 64);
+        len = 0;
         limit = cache_limit;
         frontier = Array.make k 0;
         frontier_set = false;
@@ -77,7 +92,7 @@ let make_cache ~cache_limit ~epsilon g k =
       }
   else None
 
-let prepare ?(epsilon = 0.5) ?(metrics = false) ?(cache_limit = default_cache_limit)
+let prepare ?(metrics = false) ?(cache_limit = default_cache_limit)
     ?budget ?(paranoid = false) ?(jobs = 1) g phi =
   if metrics then Metrics.enable ();
   if cache_limit < 0 then invalid_arg "Nd_engine.prepare: negative cache_limit";
@@ -88,7 +103,7 @@ let prepare ?(epsilon = 0.5) ?(metrics = false) ?(cache_limit = default_cache_li
     if k = 0 then Sentence (Nd_core.Tester.build g phi)
     else
       let nx = Nd_core.Next.build ?pool g phi in
-      Query { nx; cache = make_cache ~cache_limit ~epsilon g k }
+      Query { nx; cache = make_cache ~cache_limit g k }
   in
   let kind, degradation =
     with_jobs jobs @@ fun pool ->
@@ -109,7 +124,7 @@ let prepare ?(epsilon = 0.5) ?(metrics = false) ?(cache_limit = default_cache_li
                   (lazy (Nd_eval.Naive.model_check (Nd_eval.Naive.ctx g) phi))
               else
                 let nx = Nd_core.Next.build_fallback g phi ~reason in
-                Query { nx; cache = make_cache ~cache_limit ~epsilon g k }
+                Query { nx; cache = make_cache ~cache_limit g k }
             in
             (kind, `Fallback reason))
   in
@@ -117,7 +132,6 @@ let prepare ?(epsilon = 0.5) ?(metrics = false) ?(cache_limit = default_cache_li
     g;
     phi;
     k;
-    epsilon;
     cache_limit;
     jobs;
     kind;
@@ -131,7 +145,6 @@ let prepare ?(epsilon = 0.5) ?(metrics = false) ?(cache_limit = default_cache_li
 let graph t = t.g
 let query t = t.phi
 let arity t = t.k
-let epsilon t = t.epsilon
 let jobs t = t.jobs
 
 let degradation t = t.degradation
@@ -162,16 +175,63 @@ let compiled t =
 (* The solution cache.
 
    Soundness hinges on the frontier invariant: every solution ≤ the
-   frontier is in the store.  A live answer at query point [ā] may be
+   frontier is cached.  A live answer at query point [ā] may be
    inserted exactly when the invariant guarantees no uncached solution
    precedes it, i.e. when [ā ≤ frontier+1]: the result [s̄] is then the
    smallest solution ≥ ā, and every solution < ā is ≤ frontier, so
    after inserting [s̄] every solution ≤ s̄ is cached and the frontier
    advances to [s̄].  Sequential enumeration from the minimum tuple
    satisfies this at every step; random-access [next] calls benefit
-   opportunistically. *)
+   opportunistically.  A live answer is only consulted past the
+   frontier, so [s̄] lies above every row: inserts are appends. *)
 
 let cmp = Tuple.compare
+
+(* Lexicographic comparison of row [i] against the k-tuple [a]. *)
+let cmp_row (rows : rows) k i (a : Tuple.t) =
+  let base = i * k in
+  let rec go j =
+    if j = k then 0
+    else
+      let x = rows.{base + j} in
+      if x < a.(j) then -1 else if x > a.(j) then 1 else go (j + 1)
+  in
+  go 0
+
+(* Index of the least row ≥ [a], or [c.len] when there is none: a
+   binary search of at most ⌈log₂(len+1)⌉ row comparisons, charged to
+   [engine.cache_probes] in one call. *)
+let lower_bound k c a =
+  let lo = ref 0 and hi = ref c.len and probes = ref 0 in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    incr probes;
+    if cmp_row c.rows k mid a < 0 then lo := mid + 1 else hi := mid
+  done;
+  Metrics.add m_cache_probes !probes;
+  !lo
+
+let row_tuple k (rows : rows) i =
+  Array.init k (fun j -> rows.{(i * k) + j})
+
+(* O(1) amortised: the bank doubles (up to [limit] rows) when full. *)
+let append_row k c sol =
+  if c.len > 0 && cmp_row c.rows k (c.len - 1) sol >= 0 then
+    Nd_error.invariantf
+      "Nd_engine: cache insert %s is not above the last cached row %s"
+      (Tuple.to_string sol)
+      (Tuple.to_string (row_tuple k c.rows (c.len - 1)));
+  let used = c.len * k in
+  let cap = Bigarray.Array1.dim c.rows / k in
+  if c.len >= cap then begin
+    let bigger = new_rows (k * max (c.len + 1) (min c.limit (2 * cap))) in
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub c.rows 0 used)
+      (Bigarray.Array1.sub bigger 0 used);
+    c.rows <- bigger
+  end;
+  Array.iteri (fun j v -> c.rows.{used + j} <- v) sol;
+  c.len <- c.len + 1
 
 let within_frontier c a =
   c.complete || (c.frontier_set && cmp a c.frontier <= 0)
@@ -191,40 +251,39 @@ let contiguous t c a =
 
 (* Record a live answer obtained at query point [a] (which must satisfy
    [contiguous]).  Runs outside the measured delay window: cache
-   maintenance is O(n^ε) bookkeeping, not answering cost. *)
+   maintenance is bookkeeping, not answering cost. *)
 let cache_record t c a r =
   if contiguous t c a then
     match r with
     | Some sol ->
-        Store.add c.store sol ();
+        append_row t.k c sol;
         Metrics.incr m_cache_inserts;
-        if not (c.frontier_set && cmp sol c.frontier <= 0) then begin
-          Array.blit sol 0 c.frontier 0 t.k;
-          c.frontier_set <- true;
-          (* a frontier at the maximum tuple covers the whole domain *)
-          if Tuple.is_max ~n:(Cgraph.n t.g) sol then c.complete <- true
-        end;
-        if Store.cardinal c.store >= c.limit then c.full <- true
+        Array.blit sol 0 c.frontier 0 t.k;
+        c.frontier_set <- true;
+        (* a frontier at the maximum tuple covers the whole domain *)
+        if Tuple.is_max ~n:(Cgraph.n t.g) sol then c.complete <- true;
+        if c.len >= c.limit then c.full <- true
     | None -> c.complete <- true
 
 (* Returns the answer plus the live query point, when the live pipeline
-   was consulted (for cache recording by the caller). *)
+   was consulted (for cache recording by the caller).  Every row is
+   ≤ frontier, so a row ≥ ā is the answer whenever ā is within it. *)
 let next_query t q a =
   match q.cache with
-  | Some c when within_frontier c a -> (
-      match Store.succ_geq c.store a with
-      | Some (key, ()) when c.complete || cmp key c.frontier <= 0 ->
-          Metrics.incr m_cache_hits;
-          (Some key, None)
-      | _ ->
-          if c.complete then (None, None)
-          else (
-            (* no cached solution in [a, frontier]: resume live past it;
-               [within_frontier] without [complete] implies the frontier
-               buffer is set *)
-            match Tuple.succ ~n:(Cgraph.n t.g) c.frontier with
-            | None -> (None, None)
-            | Some sf -> (Nd_core.Next.next_solution q.nx sf, Some sf)))
+  | Some c when within_frontier c a ->
+      let i = lower_bound t.k c a in
+      if i < c.len then begin
+        Metrics.incr m_cache_hits;
+        (Some (row_tuple t.k c.rows i), None)
+      end
+      else if c.complete then (None, None)
+      else (
+        (* no cached solution in [a, frontier]: resume live past it;
+           [within_frontier] without [complete] implies the frontier
+           buffer is set *)
+        match Tuple.succ ~n:(Cgraph.n t.g) c.frontier with
+        | None -> (None, None)
+        | Some sf -> (Nd_core.Next.next_solution q.nx sf, Some sf))
   | _ -> (Nd_core.Next.next_solution q.nx a, Some a)
 
 (* Every tuple entering the engine is validated here — identically for
@@ -300,7 +359,8 @@ let test t a =
       match q.cache with
       | Some c when within_frontier c a ->
           Metrics.incr m_cache_hits;
-          Store.mem c.store a
+          let i = lower_bound t.k c a in
+          i < c.len && cmp_row c.rows t.k i a = 0
       | _ -> Nd_core.Next.test q.nx a)
 
 let first t =
@@ -363,7 +423,7 @@ let use_skip t b =
 
 let cache_size t =
   match t.kind with
-  | Query { cache = Some c; _ } -> Store.cardinal c.store
+  | Query { cache = Some c; _ } -> c.len
   | _ -> 0
 
 let cache_complete t =
@@ -422,7 +482,7 @@ let stale_rebuild t reason =
     if t.k = 0 then Sentence (Nd_core.Tester.build t.g t.phi)
     else
       let nx = Nd_core.Next.build ?pool t.g t.phi in
-      Query { nx; cache = make_cache ~cache_limit:t.cache_limit ~epsilon:t.epsilon t.g t.k }
+      Query { nx; cache = make_cache ~cache_limit:t.cache_limit t.g t.k }
   in
   Metrics.incr m_stale_rebuilds;
   with_jobs t.jobs @@ fun pool ->
@@ -444,42 +504,35 @@ let stale_rebuild t reason =
                 (lazy (Nd_eval.Naive.model_check (Nd_eval.Naive.ctx t.g) t.phi))
             else
               let nx = Nd_core.Next.build_fallback t.g t.phi ~reason:why in
-              Query { nx; cache = make_cache ~cache_limit:t.cache_limit ~epsilon:t.epsilon t.g t.k }
+              Query { nx; cache = make_cache ~cache_limit:t.cache_limit t.g t.k }
           in
           t.kind <- kind;
           t.degradation <- `Fallback why)
 
-(* Drop every cached key ≥ the lex-least tuple with a coordinate in the
-   reach set, and pull the frontier back just below it.  Keys strictly
-   below have no coordinate in reach (any tuple containing one is ≥
-   [0;…;0;min reach]), so their solution status is untouched by the
-   mutation and the frontier invariant survives. *)
+(* Clip the rows ≥ the lex-least tuple with a coordinate in the reach
+   set — a truncation at its lower bound — and pull the frontier back
+   just below it.  Rows strictly below have no coordinate in reach (any
+   tuple containing one is ≥ [0;…;0;min reach]), so their solution
+   status is untouched by the mutation and the frontier invariant
+   survives. *)
 let invalidate_cache t c reach_min =
   let dirty_first = Array.make t.k 0 in
   dirty_first.(t.k - 1) <- reach_min;
-  let rec drain () =
-    match Store.succ_geq c.store dirty_first with
-    | Some (key, ()) ->
-        Store.remove c.store key;
-        Metrics.incr m_cache_evicted;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  c.len <- lower_bound t.k c dirty_first;
   (if c.frontier_set && cmp c.frontier dirty_first >= 0 then
      match Tuple.pred ~n:(Cgraph.n t.g) dirty_first with
      | Some p -> Array.blit p 0 c.frontier 0 t.k
      | None -> c.frontier_set <- false);
   (* the mutated region may hold solutions the cache has never seen *)
   c.complete <- false;
-  c.full <- Store.cardinal c.store >= c.limit
+  c.full <- c.len >= c.limit
 
 let reset_cache t q =
   t.kind <-
     Query
       {
         nx = q.nx;
-        cache = make_cache ~cache_limit:t.cache_limit ~epsilon:t.epsilon t.g t.k;
+        cache = make_cache ~cache_limit:t.cache_limit t.g t.k;
       }
 
 let update ?(stale_threshold = default_stale_threshold) t mut =
@@ -490,7 +543,10 @@ let update ?(stale_threshold = default_stale_threshold) t mut =
   let g' = Cgraph.apply old_g mut in
   t.g <- g';
   let touched = Cgraph.mutation_vertices mut in
-  match t.kind with
+  (* every row the update drops — clipped, or discarded with the whole
+     cache — counts as evicted, in one call *)
+  let before = cache_size t in
+  (match t.kind with
   | Sentence _ -> t.kind <- Sentence (Nd_core.Tester.build g' t.phi)
   | Lazy_sentence _ ->
       t.kind <-
@@ -533,7 +589,8 @@ let update ?(stale_threshold = default_stale_threshold) t mut =
               match (q.cache, reach) with
               | Some c, w0 :: _ -> invalidate_cache t c w0
               | _ -> ()
-          end)
+          end));
+  Metrics.add m_cache_evicted (before - cache_size t)
 
 let update_batch ?stale_threshold t muts =
   List.iter (update ?stale_threshold t) muts
@@ -551,7 +608,6 @@ module Stats = struct
     arity : int;
     compiled : bool;
     compiled_levels : bool list;
-    epsilon : float;
     metrics_enabled : bool;
     phases : (string * float) list;
     counters : (string * int) list;
@@ -611,7 +667,6 @@ module Stats = struct
               ("compiled", jbool t.compiled);
               ("levels", jarr (List.map jbool t.compiled_levels));
             ] );
-        ("epsilon", jfloat t.epsilon);
         ("metrics_enabled", jbool t.metrics_enabled);
         ("phases_s", jobj (List.map (fun (k, v) -> (k, jfloat v)) t.phases));
         ( "counters",
@@ -664,7 +719,6 @@ module Stats = struct
     fprintf ppf "graph: n=%d m=%d colors=%d@." t.n t.m t.colors;
     fprintf ppf "query: %s (arity %d, %s)@." t.query t.arity
       (if t.compiled then "compiled" else "fallback/sentence");
-    fprintf ppf "epsilon: %g@." t.epsilon;
     if not t.metrics_enabled then
       fprintf ppf "metrics: disabled (pass ~metrics:true / --stats)@."
     else begin
@@ -724,7 +778,6 @@ let stats t : Stats.t =
     arity = t.k;
     compiled = compiled t;
     compiled_levels = Array.to_list (compiled_levels t);
-    epsilon = t.epsilon;
     metrics_enabled = Metrics.enabled ();
     phases = Metrics.phases ();
     counters = Metrics.counters ();
@@ -815,10 +868,11 @@ end
    internals, and the engine must not know about files, checksums or
    corruption; [Persist] is the seam between them.  A payload is the
    closure-free preprocessing product (Next/Tester pipeline, which by
-   marshal sharing carries the graph exactly once) plus the query;
-   the solution cache travels separately as a plain key list so a
-   loaded handle rebuilds its Theorem 3.1 store through the ordinary
-   [Store.add] path instead of trusting serialized registers. *)
+   marshal sharing carries the graph exactly once) plus the query.  The
+   solution cache travels separately as its packed row bank (older
+   formats: a plain key list, packed back into rows on the way in); it
+   revives through [import], which vets the rows against the payload
+   and the cache invariants before any of them serves an answer. *)
 
 module Persist = struct
   type core = P_sentence of Nd_core.Tester.t | P_query of Nd_core.Next.t
@@ -827,19 +881,87 @@ module Persist = struct
     p_g : Cgraph.t;
     p_phi : Fo.t;
     p_k : int;
-    p_epsilon : float;
     p_cache_limit : int;
     p_core : core;
   }
 
+  (* The payload record of format 2 and 3 files, which also carried the
+     epsilon that sized the cache's Theorem 3.1 store.  Marshal reads a
+     record by field position, so those files decode as this type, and
+     the epsilon is dropped on the way in. *)
+  type legacy_payload = {
+    l_g : Cgraph.t;
+    l_phi : Fo.t;
+    l_k : int;
+    l_epsilon : float;
+    l_cache_limit : int;
+    l_core : core;
+  }
+
+  let of_legacy l =
+    {
+      p_g = l.l_g;
+      p_phi = l.l_phi;
+      p_k = l.l_k;
+      p_cache_limit = l.l_cache_limit;
+      p_core = l.l_core;
+    }
+
+  let to_legacy ~epsilon p =
+    {
+      l_g = p.p_g;
+      l_phi = p.p_phi;
+      l_k = p.p_k;
+      l_epsilon = epsilon;
+      l_cache_limit = p.p_cache_limit;
+      l_core = p.p_core;
+    }
+
   type cache_payload = {
-    c_keys : Tuple.t array;  (* increasing; replayed through Store.add *)
+    c_keys : Tuple.t array;  (* strictly increasing *)
     c_frontier : Tuple.t option;
     c_full : bool;
     c_complete : bool;
   }
 
-  let cache_entries cp = Array.length cp.c_keys
+  type nonrec rows = rows
+
+  type row_image = {
+    ri_k : int;
+    ri_len : int;
+    ri_rows : rows;
+    ri_frontier : Tuple.t option;
+    ri_full : bool;
+    ri_complete : bool;
+    ri_limit : int;
+  }
+
+  let export_image t =
+    match t.kind with
+    | Query { cache = Some c; _ } ->
+        Some
+          {
+            ri_k = t.k;
+            ri_len = c.len;
+            ri_rows = c.rows;
+            ri_frontier =
+              (if c.frontier_set then Some (Array.copy c.frontier) else None);
+            ri_full = c.full;
+            ri_complete = c.complete;
+            ri_limit = c.limit;
+          }
+    | _ -> None
+
+  let export_keys t =
+    Option.map
+      (fun img ->
+        {
+          c_keys = Array.init img.ri_len (row_tuple t.k img.ri_rows);
+          c_frontier = img.ri_frontier;
+          c_full = img.ri_full;
+          c_complete = img.ri_complete;
+        })
+      (export_image t)
 
   let export t =
     (match t.degradation with
@@ -850,40 +972,16 @@ module Persist = struct
           r
     (* stale-rebuild handles went through a full re-prepare: first class *)
     | `None | `Stale_rebuild _ -> ());
-    let core, cache =
+    let core =
       match t.kind with
-      | Sentence ts -> (P_sentence ts, None)
+      | Sentence ts -> P_sentence ts
       | Lazy_sentence _ ->
           (* lazy sentences are only ever built on the degraded path,
              which the check above already rejected *)
           assert false
-      | Query q ->
-          let cache =
-            Option.map
-              (fun c ->
-                let keys = ref [] in
-                Store.iter (fun key () -> keys := key :: !keys) c.store;
-                {
-                  c_keys = Array.of_list (List.rev !keys);
-                  c_frontier =
-                    (if c.frontier_set then Some (Array.copy c.frontier)
-                     else None);
-                  c_full = c.full;
-                  c_complete = c.complete;
-                })
-              q.cache
-          in
-          (P_query q.nx, cache)
+      | Query q -> P_query q.nx
     in
-    ( {
-        p_g = t.g;
-        p_phi = t.phi;
-        p_k = t.k;
-        p_epsilon = t.epsilon;
-        p_cache_limit = t.cache_limit;
-        p_core = core;
-      },
-      cache )
+    { p_g = t.g; p_phi = t.phi; p_k = t.k; p_cache_limit = t.cache_limit; p_core = core }
 
   (* Cheap cross-checks between a decoded payload and what the caller
      asked for.  The per-section CRCs already reject random corruption;
@@ -901,145 +999,139 @@ module Persist = struct
     else if not (Cgraph.equal p.p_g graph) then
       err "payload graph (n=%d, m=%d) differs from the graph presented at load"
         (Cgraph.n p.p_g) (Cgraph.m p.p_g)
-    else if p.p_cache_limit < 0 || p.p_epsilon <= 0. then
-      err "payload carries nonsensical parameters"
+    else if p.p_cache_limit < 0 then
+      err "payload carries a negative cache limit"
     else Ok ()
+
+  (* The key list packed into a row image.  A cache-disabled payload
+     carries none worth keeping. *)
+  let image_of_keys p cp =
+    let k = p.p_k in
+    if p.p_cache_limit <= 0 || Cgraph.n p.p_g = 0 then Ok None
+    else if Array.exists (fun key -> Array.length key <> k) cp.c_keys then
+      err "cache payload carries keys of the wrong arity"
+    else begin
+      let rows = new_rows (Array.length cp.c_keys * k) in
+      Array.iteri
+        (fun i key -> Array.iteri (fun j v -> rows.{(i * k) + j} <- v) key)
+        cp.c_keys;
+      Ok
+        (Some
+           {
+             ri_k = k;
+             ri_len = Array.length cp.c_keys;
+             ri_rows = rows;
+             ri_frontier = cp.c_frontier;
+             ri_full = cp.c_full;
+             ri_complete = cp.c_complete;
+             ri_limit = p.p_cache_limit;
+           })
+    end
+
+  (* The cache invariants, checked on rows that came from outside the
+     process: the live code never re-checks them. *)
+  let vet_image p nx img =
+    let n = Cgraph.n p.p_g and k = p.p_k in
+    let out_of_range v = v < 0 || v >= n in
+    let rows = img.ri_rows in
+    (* one allocation-free pass: range, then strict order *)
+    let first_bad_row () =
+      let rec go i =
+        if i >= img.ri_len then None
+        else
+          let base = i * k in
+          let rec vertex_ok j =
+            j = k || ((not (out_of_range rows.{base + j})) && vertex_ok (j + 1))
+          in
+          let rec above j =
+            j < k
+            && (rows.{base + j} > rows.{base - k + j}
+               || (rows.{base + j} = rows.{base - k + j} && above (j + 1)))
+          in
+          if not (vertex_ok 0) then Some (i, "has a vertex outside [0, n)")
+          else if i > 0 && not (above 0) then Some (i, "is not above its predecessor")
+          else go (i + 1)
+      in
+      go 0
+    in
+    if img.ri_k <> k then err "cache rows have arity %d, the payload %d" img.ri_k k
+    else if p.p_cache_limit <= 0 || n = 0 then
+      err "cache rows present but the payload has caching disabled"
+    else if img.ri_len < 0 || img.ri_len > img.ri_limit then
+      err "%d cache rows exceed the limit %d" img.ri_len img.ri_limit
+    else if img.ri_full <> (img.ri_len >= img.ri_limit) then
+      err "cache full flag inconsistent with its %d rows" img.ri_len
+    else if img.ri_limit <> p.p_cache_limit then
+      err "cache row limit %d differs from the payload's %d" img.ri_limit
+        p.p_cache_limit
+    else if Bigarray.Array1.dim rows < img.ri_len * k then
+      err "row bank holds fewer words than %d rows" img.ri_len
+    else
+      match first_bad_row () with
+      | Some (i, why) -> err "cache row %d %s" i why
+      | None -> (
+          match img.ri_frontier with
+          | None when img.ri_len > 0 -> err "cache rows without a frontier"
+          | Some f when Array.length f <> k || Array.exists out_of_range f ->
+              err "cache frontier outside the graph's vertex range"
+          | Some f when img.ri_len > 0 && cmp_row rows k (img.ri_len - 1) f > 0 ->
+              err "cache frontier %s lies below the last row" (Tuple.to_string f)
+          | frontier -> (
+              (* a complete cache answers "none" past its frontier without
+                 asking the pipeline: one live call checks that claim *)
+              let past =
+                match frontier with
+                | None -> Some (Tuple.min k)
+                | Some f -> Tuple.succ ~n f
+              in
+              match past with
+              | Some a when img.ri_complete && Nd_core.Next.next_solution nx a <> None ->
+                  err "cache marked complete, yet a solution lies past its frontier"
+              | _ -> Ok ()))
 
   (* The one way a decoded payload becomes a live handle: no budget,
      paranoid mode off, single-job — install either around subsequent
      calls as usual. *)
-  let handle p kind =
-    {
-      g = p.p_g;
-      phi = p.p_phi;
-      k = p.p_k;
-      epsilon = p.p_epsilon;
-      cache_limit = p.p_cache_limit;
-      jobs = 1;
-      kind;
-      degradation = `None;
-      budget = None;
-      paranoid = false;
-      emitted = 0;
-      paranoid_checks = 0;
-    }
-
-  let import ~graph ~query p cache_p =
-    match check_payload ~graph ~query p with
-    | Error _ as e -> e
-    | Ok () ->
-    if
-      (* cache keys are replayed through the live Store.add below, so
-         they must be vetted first: a key of the wrong arity or with an
-         out-of-range vertex (a cache section transplanted from another
-         instance) must yield Error, not an exception mid-replay *)
-      match cache_p with
-      | None -> false
-      | Some cp ->
-          let n = Cgraph.n p.p_g in
-          let bad key =
-            Array.length key <> p.p_k
-            || Array.exists (fun v -> v < 0 || v >= n) key
-          in
-          Array.exists bad cp.c_keys
-          || match cp.c_frontier with Some f -> bad f | None -> false
-    then err "cache payload carries keys outside the graph's vertex range"
-    else
-      let mk_cache cp =
-        match
-          make_cache ~cache_limit:p.p_cache_limit ~epsilon:p.p_epsilon p.p_g
-            p.p_k
-        with
-        | None -> None
-        | Some c ->
-            Array.iter (fun key -> Store.add c.store key ()) cp.c_keys;
-            (match cp.c_frontier with
-            | Some f ->
-                Array.blit f 0 c.frontier 0 p.p_k;
-                c.frontier_set <- true
-            | None -> ());
-            c.full <- cp.c_full;
-            c.complete <- cp.c_complete;
-            Some c
-      in
-      match (p.p_core, p.p_k) with
-      | P_sentence ts, 0 -> Ok (handle p (Sentence ts))
-      | P_query nx, k when k > 0 ->
-          let cache = Option.bind cache_p mk_cache in
-          Ok (handle p (Query { nx; cache }))
-      | _ -> err "payload core does not match its arity"
-
-  (* ------------------------------------------------------------ *)
-  (* Warm path: adopt an already-materialized Theorem 3.1 store
-     instead of replaying its keys through [Store.add].  The snapshot
-     codec is responsible for the *internal* validity of the store
-     (it rebuilds one through [Store.Raw.import_unit], which vets
-     every register); the checks here reject a structurally sound
-     store that belongs to a different payload. *)
-
-  type store_image = {
-    si_store : unit Store.t;
-    si_frontier : Tuple.t option;
-    si_full : bool;
-    si_complete : bool;
-    si_limit : int;
-  }
-
-  let export_image t =
-    match t.kind with
-    | Query { cache = Some c; _ } ->
-        Some
-          {
-            si_store = c.store;
-            si_frontier =
-              (if c.frontier_set then Some (Array.copy c.frontier) else None);
-            si_full = c.full;
-            si_complete = c.complete;
-            si_limit = c.limit;
-          }
-    | _ -> None
-
-  let import_with_image ~graph ~query p img =
+  let import ~graph ~query p image =
+    let handle kind =
+      {
+        g = p.p_g;
+        phi = p.p_phi;
+        k = p.p_k;
+        cache_limit = p.p_cache_limit;
+        jobs = 1;
+        kind;
+        degradation = `None;
+        budget = None;
+        paranoid = false;
+        emitted = 0;
+        paranoid_checks = 0;
+      }
+    in
     match check_payload ~graph ~query p with
     | Error _ as e -> e
     | Ok () -> (
-        let sn, sk, _, _, _, scard, _, _ = Store.Raw.dims img.si_store in
-        let n = Cgraph.n p.p_g in
-        if sn <> n || sk <> p.p_k then
-          err "store image geometry (n=%d, k=%d) does not match the payload"
-            sn sk
-        else if p.p_cache_limit <= 0 then
-          err "store image present but the payload has caching disabled"
-        else if img.si_limit <> p.p_cache_limit then
-          err "store image cache limit %d differs from the payload's %d"
-            img.si_limit p.p_cache_limit
-        else if img.si_full <> (scard >= img.si_limit) then
-          err "store image full flag inconsistent with its cardinality"
-        else if
-          match img.si_frontier with
-          | None -> false
-          | Some f ->
-              Array.length f <> p.p_k
-              || Array.exists (fun v -> v < 0 || v >= n) f
-        then err "store image frontier outside the graph's vertex range"
-        else
-          match p.p_core with
-          | P_sentence _ -> err "store image attached to a sentence payload"
-          | P_query nx ->
-              let c =
-                {
-                  store = img.si_store;
-                  limit = img.si_limit;
-                  frontier = Array.make p.p_k 0;
-                  frontier_set = false;
-                  full = img.si_full;
-                  complete = img.si_complete;
-                }
-              in
-              (match img.si_frontier with
-              | Some f ->
-                  Array.blit f 0 c.frontier 0 p.p_k;
-                  c.frontier_set <- true
-              | None -> ());
-              Ok (handle p (Query { nx; cache = Some c })))
+        match (p.p_core, image) with
+        | P_sentence ts, None when p.p_k = 0 -> Ok (handle (Sentence ts))
+        | P_sentence _, Some _ -> err "cache rows attached to a sentence payload"
+        | P_query nx, None when p.p_k > 0 -> Ok (handle (Query { nx; cache = None }))
+        | P_query nx, Some img when p.p_k > 0 -> (
+            match vet_image p nx img with
+            | Error _ as e -> e
+            | Ok () ->
+                let frontier = Array.make p.p_k 0 in
+                Option.iter (fun f -> Array.blit f 0 frontier 0 p.p_k) img.ri_frontier;
+                let c =
+                  {
+                    rows = img.ri_rows;
+                    len = img.ri_len;
+                    limit = img.ri_limit;
+                    frontier;
+                    frontier_set = img.ri_frontier <> None;
+                    full = img.ri_full;
+                    complete = img.ri_complete;
+                  }
+                in
+                Ok (handle (Query { nx; cache = Some c })))
+        | _ -> err "payload core does not match its arity")
 end

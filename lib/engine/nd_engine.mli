@@ -10,16 +10,19 @@
     - {!seq} / {!enumerate}: constant-delay enumeration in
       lexicographic order (Corollary 2.5).
 
-    The handle also owns a Theorem 3.1 {!Nd_ram.Store} acting as a
-    solution cache: solutions discovered by sequential enumeration (and
-    by [next] calls contiguous with the cached region) are inserted
-    into the store, and later [next] / [test] calls that fall inside
-    the cached region are served from it — [find] in constant time,
-    [succ_geq] likewise — instead of re-running the live pipeline.
-    The cache maintains a lexicographic {e frontier}: every solution
-    [≤ frontier] is stored, so store answers inside the frontier are
-    exact.  [cache_limit] caps insertions (the store costs
-    [O(n^ε)] registers per key).
+    The handle also owns a solution cache: solutions discovered by
+    sequential enumeration (and by [next] calls contiguous with the
+    cached region) are appended to a packed bank of sorted rows, and
+    later [next] / [test] calls that fall inside the cached region are
+    served from it by binary search — [O(k·log c)] for [c] cached
+    rows, charged to the [engine.cache_probes] ops counter — instead of
+    re-running the live pipeline.  The cache maintains a lexicographic
+    {e frontier}: every solution [≤ frontier] is cached, so answers
+    inside the frontier are exact, and every insert lands past the
+    last row, so the bank is only appended to and truncated.
+    [cache_limit] caps the row count.  The cache is an engine add-on
+    outside Theorem 2.3's constant-delay argument; the library's
+    Theorem 3.1 store is reproduced on its own (DESIGN S9).
 
     With [~metrics:true], {!Nd_util.Metrics} is enabled and the
     pipeline's cost-model probes (register touches, scan steps,
@@ -40,7 +43,6 @@ type degradation = [ `None | `Fallback of string | `Stale_rebuild of string ]
     path was abandoned. *)
 
 val prepare :
-  ?epsilon:float ->
   ?metrics:bool ->
   ?cache_limit:int ->
   ?budget:Nd_util.Budget.t ->
@@ -60,7 +62,6 @@ val prepare :
     {!update} calls re-spawn them for their dirty set.
     @raise Invalid_argument when [jobs < 1].
 
-    [epsilon] (default 0.5) sizes the solution store ([d = ⌈n^ε⌉]).
     [metrics] (default false) enables the global {!Nd_util.Metrics}
     registry before preprocessing (it is never disabled here; the
     registry is shared and cumulative — call {!reset_metrics} first
@@ -92,7 +93,6 @@ val degraded : t -> bool
 val graph : t -> Nd_graph.Cgraph.t
 val query : t -> Nd_logic.Fo.t
 val arity : t -> int
-val epsilon : t -> float
 
 val jobs : t -> int
 (** The job count the handle was prepared with (1 for loaded
@@ -148,8 +148,10 @@ val count_enumerated : t -> int
     rooted in the mutation's reach (its cover-radius neighborhood) are
     rebuilt — dist-index overrides, re-housed cover bags, dirty-bag
     kernels and label sets, bag-local tables — and only the cached
-    solutions at or beyond the lex-least dirty tuple are evicted (the
-    frontier is pulled back just below it).  When the dirty fraction
+    solutions at or beyond the lex-least dirty tuple are evicted: one
+    binary search and a truncation of the row bank (the frontier is
+    pulled back just below it).  Every row an update drops is added to
+    the [engine.cache_evicted] counter.  When the dirty fraction
     exceeds [stale_threshold], updating degenerates to a budgeted full
     re-prepare recorded as [`Stale_rebuild] (see {!degradation}). *)
 
@@ -187,7 +189,7 @@ val use_skip : t -> bool -> unit
 (** {1 Solution cache} *)
 
 val cache_size : t -> int
-(** Number of solutions currently held by the Theorem 3.1 store. *)
+(** Number of solutions currently held by the cache (its row count). *)
 
 val cache_complete : t -> bool
 (** The cache holds {e every} solution (a full enumeration finished
@@ -210,7 +212,6 @@ module Stats : sig
     arity : int;
     compiled : bool;
     compiled_levels : bool list;
-    epsilon : float;
     metrics_enabled : bool;
     phases : (string * float) list;  (** cumulative seconds per phase *)
     counters : (string * int) list;
@@ -303,78 +304,92 @@ end
     The seam between the engine and the on-disk snapshot codec
     ([Nd_snapshot]): {!Persist.export} detaches the preprocessing
     product of Theorem 2.3 from a live handle as an opaque, closure-free
-    value the codec can marshal, and {!Persist.import} reattaches it —
-    after cross-checking it against the graph and query the caller
-    expects, so a payload transplanted from a different snapshot (or
-    presented with the wrong inputs) is rejected instead of silently
-    answering for the wrong instance.  The engine knows nothing of
-    files, versions or checksums; the codec knows nothing of the
-    engine's internals. *)
+    value the codec can marshal, {!Persist.export_image} exposes the
+    solution cache's packed row bank for the codec to write as raw
+    words, and {!Persist.import} reattaches both — after
+    cross-checking the payload against the graph and query the caller
+    expects and vetting every row, so a payload transplanted from a
+    different snapshot (or presented with the wrong inputs) is rejected
+    instead of silently answering for the wrong instance.  The engine
+    knows nothing of files, versions or checksums; the codec knows
+    nothing of the engine's internals. *)
 
 module Persist : sig
   type payload
   (** The preprocessing product: the Next/Tester pipeline (carrying the
-      graph once, by sharing) plus the query and build parameters.
+      graph once, by sharing) plus the query and the cache limit.
       Pure data — marshal-safe by construction. *)
 
-  type cache_payload
-  (** The solution cache as a plain ordered key list plus its frontier
-      state.  Kept separate so a loaded handle re-inserts every key
-      through the ordinary [Store.add] path — serialized registers are
-      never trusted as a live Theorem 3.1 structure. *)
-
-  val export : t -> payload * cache_payload option
+  val export : t -> payload
   (** @raise Nd_error.User_error on a degraded handle: it holds no
       preprocessing product, only the naive fallback, so persisting it
       would snapshot nothing of value. *)
+
+  type legacy_payload
+  (** The payload as format 2 and 3 snapshots marshal it: the same
+      fields plus the epsilon that sized the Theorem 3.1 store the
+      cache used to live in.  Marshal reads records by field position,
+      so those files must decode as this type. *)
+
+  val of_legacy : legacy_payload -> payload
+  (** Drops the epsilon. *)
+
+  val to_legacy : epsilon:float -> payload -> legacy_payload
+
+  (** {2 Row images}
+
+      The cache's packed row bank, which a snapshot codec can write as
+      raw words and later adopt — memory-mapped or copied — without
+      rebuilding it key by key. *)
+
+  type rows = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  type row_image = {
+    ri_k : int;  (** row width: the query's arity *)
+    ri_len : int;  (** row count; row [i] is words [i·k, (i+1)·k) *)
+    ri_rows : rows;  (** at least [ri_len · ri_k] words *)
+    ri_frontier : Nd_util.Tuple.t option;
+    ri_full : bool;
+    ri_complete : bool;
+    ri_limit : int;
+  }
+
+  val export_image : t -> row_image option
+  (** The live cache state.  [None] for sentences, cache-disabled
+      handles, or handles whose cache was never created.  The bank in
+      the image is the handle's live bank — read-only use only. *)
 
   val import :
     graph:Nd_graph.Cgraph.t ->
     query:Nd_logic.Fo.t ->
     payload ->
-    cache_payload option ->
+    row_image option ->
     (t, string) result
-  (** Rebuild a live handle.  [Error] (never an exception) when the
-      payload is internally inconsistent or does not belong to
-      [graph]/[query].  The result has no budget and paranoid mode off;
-      install either around subsequent calls as usual. *)
+  (** Rebuild a live handle, adopting the image's bank wholesale (later
+      inserts write into it, or into a copy once it must grow).
+      [Error] (never an exception) when the payload is internally
+      inconsistent or does not belong to [graph]/[query], or when a row
+      image is given and: its arity or cache limit differs from the
+      payload's, the row count exceeds the limit, the full flag
+      disagrees with the row count, a vertex lies outside the graph,
+      the rows are not strictly increasing, the frontier is missing
+      while rows exist or lies below the last row, the complete flag is
+      set while the pipeline finds a solution past the frontier (one
+      live [next] call), or the payload is a sentence.  The result has
+      no budget and paranoid mode off; install either around
+      subsequent calls as usual. *)
 
-  val cache_entries : cache_payload -> int
+  (** {2 Key lists}
 
-  (** {2 Warm store images}
+      Format 2 and 3 snapshots carry the cache as a marshalled key
+      list; it is packed into a row image and then revived through
+      {!import} like any other. *)
 
-      The flat Theorem 3.1 store serializes as raw register banks (see
-      {!Nd_ram.Store.Raw}), which a snapshot codec can rebuild — or
-      memory-map — without replaying [Store.add] per key.  A
-      [store_image] is that adopted store plus the cache's frontier
-      state; {!import_with_image} is the warm-path counterpart of
-      {!import}. *)
+  type cache_payload
 
-  type store_image = {
-    si_store : unit Nd_ram.Store.t;
-    si_frontier : Nd_util.Tuple.t option;
-    si_full : bool;
-    si_complete : bool;
-    si_limit : int;
-  }
+  val export_keys : t -> cache_payload option
 
-  val export_image : t -> store_image option
-  (** The live cache state, for codecs that serialize the store's
-      register banks directly.  [None] for sentences, cache-disabled
-      handles, or handles whose cache was never created.  The store in
-      the image is the handle's live store — read-only use only. *)
-
-  val import_with_image :
-    graph:Nd_graph.Cgraph.t ->
-    query:Nd_logic.Fo.t ->
-    payload ->
-    store_image ->
-    (t, string) result
-  (** Rebuild a live handle adopting [img]'s store wholesale.  The
-      caller (the snapshot codec) vouches for the store's internal
-      validity — {!Nd_ram.Store.Raw.import_unit} vets every register —
-      while this function rejects images that don't belong to the
-      payload: geometry or cache-limit mismatch, out-of-range frontier,
-      a full flag inconsistent with the store's cardinality, or a
-      sentence payload. *)
+  val image_of_keys : payload -> cache_payload -> (row_image option, string) result
+  (** [Ok None] when the payload has caching disabled: its keys are
+      dropped.  [Error] when a key has the wrong arity. *)
 end

@@ -3,14 +3,22 @@ open Nd_graph
 open Nd_logic
 
 let magic = "FODBSNAP"
-let format_version = 3
+let format_version = 4
 
-(* v2 files carry the cache only as a Marshal'd key list; v3 appends the
-   STOR section with the flat store's raw register banks.  Both are
-   readable; [save ~format:2] still writes the old layout. *)
+(* v2 files carry the cache as a Marshal'd key list; v3 appended STOR
+   (the old Theorem 3.1 store's register banks), which is still
+   checksummed on load but never adopted; v4 carries the cache only as
+   ROWS, its packed row bank.  All three are readable; [save ~format:2]
+   still writes the oldest layout. *)
 let tags_of = function
   | 2 -> [ "META"; "ENGN"; "CACH" ]
-  | _ -> [ "META"; "ENGN"; "CACH"; "STOR" ]
+  | 3 -> [ "META"; "ENGN"; "CACH"; "STOR" ]
+  | _ -> [ "META"; "ENGN"; "ROWS" ]
+
+(* The epsilon that format 2 and 3 files record in META and ENGN: the
+   default every handle carried while the cache lived in a Theorem 3.1
+   store it sized.  Nothing reads it back. *)
+let legacy_epsilon = 0.5
 
 let m_loads = Metrics.counter "snapshot.loads"
 let m_fallbacks = Metrics.counter "snapshot.load_fallbacks"
@@ -18,8 +26,8 @@ let m_bytes = Metrics.counter "snapshot.bytes_written"
 let m_warm = Metrics.counter "snapshot.warm_loads"
 let m_mapped = Metrics.counter "snapshot.mapped_loads"
 
-(* The bank pages are meaningful to map only when an OCAML int spans the
-   full 64-bit word and the host agrees with the little-endian pages. *)
+(* The row words are meaningful to map only when an OCaml int spans the
+   full 64-bit word and the host agrees with the little-endian words. *)
 let mappable = Sys.int_size = 63 && not Sys.big_endian
 
 type corruption =
@@ -93,12 +101,6 @@ let put_f64 b f =
       (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
   done
 
-(* bank words: OCaml ints sign-extended to 8 little-endian bytes *)
-let put_i64 b v =
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.unsafe_chr ((v asr (8 * i)) land 0xFF))
-  done
-
 type cursor = { cs : string; mutable pos : int; stop : int }
 
 let need cur n what =
@@ -142,7 +144,6 @@ type info = {
   query : string;
   query_hash : int;
   arity : int;
-  epsilon : float;
   graph_n : int;
   graph_m : int;
   graph_colors : int;
@@ -168,12 +169,12 @@ let parse_structure s =
   if total < 16 then corrupt (Truncated { expected = 16; actual = total });
   if String.sub s 0 8 <> magic then corrupt Bad_magic;
   let v = hdr_u32 s 8 total in
-  if v <> 2 && v <> format_version then
+  if v < 2 || v > format_version then
     corrupt
       (Version_skew
          {
            found = "format " ^ string_of_int v;
-           expected = Printf.sprintf "format 2 or %d" format_version;
+           expected = Printf.sprintf "format 2 to %d" format_version;
          });
   let tags = tags_of v in
   let nsect = hdr_u32 s 12 total in
@@ -217,7 +218,7 @@ let find_section sections tag = List.find (fun s -> s.tag = tag) sections
 
 (* ---------------- META codec ---------------- *)
 
-let encode_meta eng =
+let encode_meta ~format eng =
   let g = Nd_engine.graph eng in
   let qtext = Fo.to_string (Nd_engine.query eng) in
   let b = Buffer.create 128 in
@@ -225,7 +226,7 @@ let encode_meta eng =
   put_str b qtext;
   put_u32 b (Crc32.string qtext);
   put_u32 b (Nd_engine.arity eng);
-  put_f64 b (Nd_engine.epsilon eng);
+  if format < 4 then put_f64 b legacy_epsilon;
   put_u32 b (Cgraph.n g);
   put_u32 b (Cgraph.m g);
   put_u32 b (Cgraph.color_count g);
@@ -241,7 +242,7 @@ let decode_meta s sec ~version ~warmable ~sections =
   let query = get_str cur "meta" in
   let query_hash = get_u32 cur "meta" in
   let arity = get_u32 cur "meta" in
-  let epsilon = get_f64 cur "meta" in
+  if version < 4 then ignore (get_f64 cur "meta" : float);
   let graph_n = get_u32 cur "meta" in
   let graph_m = get_u32 cur "meta" in
   let graph_colors = get_u32 cur "meta" in
@@ -259,7 +260,6 @@ let decode_meta s sec ~version ~warmable ~sections =
     query;
     query_hash;
     arity;
-    epsilon;
     graph_n;
     graph_m;
     graph_colors;
@@ -307,44 +307,33 @@ let check_meta meta ~graph ~query =
     corrupt
       (Stale_epoch { snapshot = meta.graph_epoch; current = Cgraph.epoch graph })
 
-(* ---------------- STOR codec ---------------- *)
+(* ---------------- ROWS codec ---------------- *)
 
-(* The flat store's register banks as raw little-endian pages:
+(* The solution cache's packed row bank as raw little-endian words:
 
-     u32 present | u32 n,k,d,h | f64 epsilon
-   | u32 free,card,klen,vlen,limit | u32 full,complete,frontier_set
-   | k × u32 frontier | free tag bytes
-   | u32 padlen | padlen zero bytes      (pads banks to 8-byte file offset)
-   | free × i64 payload bank | klen·k × i64 key arena
+     u32 present | u32 k,count,limit | u32 full,complete,frontier_set
+   | k × u32 frontier
+   | u32 padlen | padlen zero bytes      (pads the rows to an 8-byte file offset)
+   | count·k × i64 rows
 
    [payload_off] is the absolute file offset of this section's payload;
-   the pad is computed against it so the i64 region is 8-aligned in the
-   *file*, which is what lets a warm load hand the pages to
-   [Unix.map_file] untranslated. *)
+   the pad is computed against it so the row words are 8-aligned in the
+   *file*, which is what lets a warm load hand them to [Unix.map_file]
+   untranslated. *)
 
-let encode_stor ~payload_off ~epsilon img =
+let encode_rows ~payload_off img =
   let b = Buffer.create 256 in
   (match img with
   | None -> put_u32 b 0
-  | Some (img : Nd_engine.Persist.store_image) ->
-      let st = img.si_store in
-      (* canonical minimal banks: no dead arena slots in the file *)
-      Nd_ram.Store.Raw.compact st;
-      let n, k, d, h, free, card, klen, vlen = Nd_ram.Store.Raw.dims st in
+  | Some (img : Nd_engine.Persist.row_image) ->
+      let k = img.ri_k in
       put_u32 b 1;
-      put_u32 b n;
       put_u32 b k;
-      put_u32 b d;
-      put_u32 b h;
-      put_f64 b epsilon;
-      put_u32 b free;
-      put_u32 b card;
-      put_u32 b klen;
-      put_u32 b vlen;
-      put_u32 b img.si_limit;
-      put_u32 b (Bool.to_int img.si_full);
-      put_u32 b (Bool.to_int img.si_complete);
-      (match img.si_frontier with
+      put_u32 b img.ri_len;
+      put_u32 b img.ri_limit;
+      put_u32 b (Bool.to_int img.ri_full);
+      put_u32 b (Bool.to_int img.ri_complete);
+      (match img.ri_frontier with
       | Some f ->
           put_u32 b 1;
           Array.iter (fun v -> put_u32 b v) f
@@ -353,30 +342,14 @@ let encode_stor ~payload_off ~epsilon img =
           for _ = 1 to k do
             put_u32 b 0
           done);
-      Buffer.add_string b (Nd_ram.Store.Raw.tags_blob st);
       let off = payload_off + Buffer.length b + 4 in
       let pad = (8 - (off mod 8)) mod 8 in
       put_u32 b pad;
-      for _ = 1 to pad do
-        Buffer.add_char b '\000'
-      done;
-      for i = 0 to free - 1 do
-        put_i64 b (Nd_ram.Store.Raw.payload_word st i)
-      done;
-      for i = 0 to (klen * k) - 1 do
-        put_i64 b (Nd_ram.Store.Raw.key_word st i)
+      Buffer.add_string b (String.make pad '\000');
+      for i = 0 to (img.ri_len * k) - 1 do
+        Buffer.add_int64_le b (Int64.of_int img.ri_rows.{i})
       done);
   Buffer.contents b
-
-let get_i64_at s pos =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v :=
-      Int64.logor !v
-        (Int64.shift_left (Int64.of_int (Char.code s.[pos + i])) (8 * i))
-  done;
-  (* bank words are OCaml ints: the 64th bit is pure sign extension *)
-  Int64.to_int !v
 
 let get_flag cur what =
   match get_u32 cur what with
@@ -384,98 +357,69 @@ let get_flag cur what =
   | 1 -> true
   | v -> corrupt (Decode (Printf.sprintf "%s: flag byte holds %d" what v))
 
-(* Decode the STOR section into a vetted store image.  [map_fd], when
-   the host qualifies, memory-maps the bank pages (private, copy-on-
-   write) instead of copying them; any mapping failure falls back to
-   the byte-copy silently — the bytes are the same either way. *)
-let decode_stor s sec ~meta ~map_fd =
+(* Decode the ROWS section into a row image for the engine to vet.
+   [map_fd], when the host qualifies, memory-maps the row words
+   (private, copy-on-write) instead of copying them; any mapping
+   failure falls back to the copy silently — the words are the same
+   either way. *)
+let decode_rows s sec ~meta ~map_fd =
   let cur = { cs = s; pos = sec.off; stop = sec.off + sec.len } in
-  if not (get_flag cur "stor") then begin
-    if cur.pos <> cur.stop then corrupt (Decode "stor: trailing bytes");
+  if not (get_flag cur "rows") then begin
+    if cur.pos <> cur.stop then corrupt (Decode "rows: trailing bytes");
     None
   end
   else begin
-    let n = get_u32 cur "stor" in
-    let k = get_u32 cur "stor" in
-    let d = get_u32 cur "stor" in
-    let h = get_u32 cur "stor" in
-    let epsilon = get_f64 cur "stor" in
-    let free = get_u32 cur "stor" in
-    let card = get_u32 cur "stor" in
-    let klen = get_u32 cur "stor" in
-    let vlen = get_u32 cur "stor" in
-    let limit = get_u32 cur "stor" in
-    let full = get_flag cur "stor" in
-    let complete = get_flag cur "stor" in
-    let frontier_set = get_flag cur "stor" in
-    if epsilon <> meta.epsilon then
-      corrupt (Decode "stor: epsilon differs from the META section");
-    if k <> meta.arity && meta.arity > 0 then
-      corrupt (Decode "stor: arity differs from the META section");
-    let frontier = Array.make (max 1 k) 0 in
-    for i = 0 to k - 1 do
-      frontier.(i) <- get_u32 cur "stor"
-    done;
-    need cur free "stor";
-    let tags = Bytes.create free in
-    Bytes.blit_string s cur.pos tags 0 free;
-    cur.pos <- cur.pos + free;
-    let pad = get_u32 cur "stor" in
-    if pad > 7 then corrupt (Decode "stor: oversized alignment pad");
-    need cur pad "stor";
+    let k = get_u32 cur "rows" in
+    let count = get_u32 cur "rows" in
+    let limit = get_u32 cur "rows" in
+    let full = get_flag cur "rows" in
+    let complete = get_flag cur "rows" in
+    let frontier_set = get_flag cur "rows" in
+    if k <> meta.arity then
+      corrupt (Decode "rows: arity differs from the META section");
+    need cur (4 * k) "rows";
+    let frontier = Array.init k (fun _ -> get_u32 cur "rows") in
+    let pad = get_u32 cur "rows" in
+    if pad > 7 then corrupt (Decode "rows: oversized alignment pad");
+    need cur pad "rows";
     cur.pos <- cur.pos + pad;
-    let bank_off = cur.pos in
-    if bank_off mod 8 <> 0 then
-      corrupt (Decode "stor: bank pages not 8-byte aligned");
-    let words = free + (klen * k) in
-    need cur (words * 8) "stor";
+    let rows_off = cur.pos in
+    if rows_off mod 8 <> 0 then
+      corrupt (Decode "rows: row words not 8-byte aligned");
+    if k > 0 && count > (cur.stop - cur.pos) / (8 * k) then
+      corrupt (Decode "rows: short section");
+    let words = count * k in
     cur.pos <- cur.pos + (words * 8);
-    if cur.pos <> cur.stop then corrupt (Decode "stor: trailing bytes");
-    let mapped_banks =
+    if cur.pos <> cur.stop then corrupt (Decode "rows: trailing bytes");
+    let mapped_rows =
       match map_fd with
       | Some fd when mappable && words > 0 -> (
           try
-            let g =
-              Unix.map_file fd ~pos:(Int64.of_int bank_off) Bigarray.int
-                Bigarray.c_layout false [| words |]
-            in
-            let a = Bigarray.array1_of_genarray g in
-            Some (Bigarray.Array1.sub a 0 free, Bigarray.Array1.sub a free (klen * k))
+            Some
+              (Bigarray.array1_of_genarray
+                 (Unix.map_file fd ~pos:(Int64.of_int rows_off) Bigarray.int
+                    Bigarray.c_layout false [| words |]))
           with Unix.Unix_error _ | Sys_error _ -> None)
       | _ -> None
     in
-    let mapped = mapped_banks <> None in
-    let pay, karena =
-      match mapped_banks with
-      | Some banks -> banks
+    let rows =
+      match mapped_rows with
+      | Some a -> a
       | None ->
-          let mk len off =
-            let a =
-              Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 len)
-            in
-            Bigarray.Array1.fill a 0;
-            for i = 0 to len - 1 do
-              Bigarray.Array1.set a i (get_i64_at s (off + (i * 8)))
-            done;
-            a
-          in
-          (mk free bank_off, mk (klen * k) (bank_off + (free * 8)))
+          Bigarray.Array1.init Bigarray.int Bigarray.c_layout words (fun i ->
+              Int64.to_int (String.get_int64_le s (rows_off + (i * 8))))
     in
-    match
-      Nd_ram.Store.Raw.import_unit ~n ~k ~epsilon ~d ~h ~free ~card ~klen
-        ~vlen ~tags ~pay ~karena
-    with
-    | Error m -> corrupt (Decode m)
-    | Ok st ->
-        Some
-          ( {
-              Nd_engine.Persist.si_store = st;
-              si_frontier = (if frontier_set then Some frontier else None);
-              si_full = full;
-              si_complete = complete;
-              si_limit = limit;
-            },
-            mapped )
+    Some
+      ( {
+          Nd_engine.Persist.ri_k = k;
+          ri_len = count;
+          ri_rows = rows;
+          ri_frontier = (if frontier_set then Some frontier else None);
+          ri_full = full;
+          ri_complete = complete;
+          ri_limit = limit;
+        },
+        mapped_rows <> None )
   end
 
 (* ---------------- file I/O ---------------- *)
@@ -519,7 +463,7 @@ let save ?(format = format_version) ~path eng =
   if format <> 2 && format <> format_version then
     invalid_arg "Nd_snapshot.save: unsupported format";
   Nd_trace.phase "snapshot.save" @@ fun () ->
-  let payload, cache = Nd_engine.Persist.export eng in
+  let payload = Nd_engine.Persist.export eng in
   let marshal what v =
     try Marshal.to_string v []
     with Invalid_argument m ->
@@ -527,28 +471,33 @@ let save ?(format = format_version) ~path eng =
         "Nd_snapshot.save: %s payload is not marshal-safe (%s) — a closure \
          leaked into the preprocessing product" what m
   in
-  let engn, cach =
-    Nd_trace.with_span "snapshot.marshal" @@ fun () ->
-    (marshal "engine" payload, marshal "cache" cache)
-  in
-  let meta = encode_meta eng in
-  let sections = [ ("META", meta); ("ENGN", engn); ("CACH", cach) ] in
+  let meta = encode_meta ~format eng in
   let sections =
-    if format < 3 then sections
+    if format = 2 then
+      let engn, cach =
+        Nd_trace.with_span "snapshot.marshal" @@ fun () ->
+        ( marshal "engine"
+            (Nd_engine.Persist.to_legacy ~epsilon:legacy_epsilon payload),
+          marshal "cache" (Nd_engine.Persist.export_keys eng) )
+      in
+      [ ("META", meta); ("ENGN", engn); ("CACH", cach) ]
     else begin
-      (* STOR is last so its absolute payload offset — which fixes the
-         bank alignment pad — is known before encoding it *)
+      let engn =
+        Nd_trace.with_span "snapshot.marshal" @@ fun () ->
+        marshal "engine" payload
+      in
+      let sections = [ ("META", meta); ("ENGN", engn) ] in
+      (* ROWS is last so its absolute payload offset — which fixes the
+         row alignment pad — is known before encoding it *)
       let payload_off =
         List.fold_left (fun o (_, p) -> o + 12 + String.length p) 16 sections
         + 12
       in
-      let stor =
-        Nd_trace.with_span "snapshot.stor" @@ fun () ->
-        encode_stor ~payload_off
-          ~epsilon:(Nd_engine.epsilon eng)
-          (Nd_engine.Persist.export_image eng)
+      let rows =
+        Nd_trace.with_span "snapshot.rows" @@ fun () ->
+        encode_rows ~payload_off (Nd_engine.Persist.export_image eng)
       in
-      sections @ [ ("STOR", stor) ]
+      sections @ [ ("ROWS", rows) ]
     end
   in
   let b =
@@ -589,10 +538,10 @@ let layout ~path =
   | _, sections -> Ok sections
   | exception C c -> Error c
 
-(* Whether a parsed file offers the warm path: a v3 STOR section whose
-   present flag is set, on a host whose ints can adopt the pages. *)
-let stor_present s sections =
-  match List.find_opt (fun sec -> sec.tag = "STOR") sections with
+(* Whether a parsed file offers the warm path: a v4 ROWS section whose
+   present flag is set. *)
+let rows_present s sections =
+  match List.find_opt (fun sec -> sec.tag = "ROWS") sections with
   | Some sec -> sec.len >= 4 && hdr_u32 s sec.off (sec.off + sec.len) = 1
   | None -> false
 
@@ -601,18 +550,23 @@ let info ~path =
     let s = read_file path in
     let version, sections = parse_structure s in
     verify_crcs s sections;
-    let warmable = mappable && stor_present s sections in
+    let warmable = mappable && rows_present s sections in
     decode_meta s (find_section sections "META") ~version ~warmable ~sections
   with
   | i -> Ok i
   | exception C c -> Error c
 
+let describe_warm i =
+  if i.warmable then "yes (cache rows mmap-ready)"
+  else if i.version >= 4 then "no (no cache rows to map)"
+  else Printf.sprintf "no (format %d: the cache replays from CACH)" i.version
+
 type route = Replayed | Warm of { mapped : bool }
 
 let describe_route = function
-  | Replayed -> "cache replayed through Store.add"
-  | Warm { mapped = true } -> "store banks memory-mapped"
-  | Warm { mapped = false } -> "store banks copied"
+  | Replayed -> "cache replayed from CACH"
+  | Warm { mapped = true } -> "cache rows memory-mapped"
+  | Warm { mapped = false } -> "cache rows copied"
 
 let load_routed ?(warm = true) ~path graph query =
   Nd_trace.phase "snapshot.load" @@ fun () ->
@@ -628,7 +582,7 @@ let load_routed ?(warm = true) ~path graph query =
       decode_meta s
         (find_section sections "META")
         ~version
-        ~warmable:(mappable && stor_present s sections)
+        ~warmable:(mappable && rows_present s sections)
         ~sections
     in
     check_meta meta ~graph ~query;
@@ -644,45 +598,50 @@ let load_routed ?(warm = true) ~path graph query =
              (Printf.sprintf "section %s failed to deserialize (%s)" sec.tag
                 (Printexc.to_string e)))
     in
-    let payload : Nd_engine.Persist.payload =
+    let payload =
       Nd_trace.with_span "snapshot.unmarshal" (fun () ->
-          unmarshal (find_section sections "ENGN"))
+          let engn = find_section sections "ENGN" in
+          if version >= 4 then (unmarshal engn : Nd_engine.Persist.payload)
+          else Nd_engine.Persist.of_legacy (unmarshal engn))
     in
-    let image =
-      if not (warm && version >= 3) then None
+    (* [snapshot.cache] spans exactly the cache revival: the ROWS words
+       adopted (mapped, or copied when [warm] is off or the host cannot
+       map them), or the CACH key list of a v2/v3 file unmarshalled and
+       packed into rows.  A v3 STOR section passed its checksum above
+       and is otherwise ignored. *)
+    let image, route =
+      Nd_trace.with_span "snapshot.cache" @@ fun () ->
+      if version >= 4 then
+        match
+          decode_rows s
+            (find_section sections "ROWS")
+            ~meta
+            ~map_fd:(if warm && mappable then Some fd else None)
+        with
+        | Some (img, mapped) -> (Some img, Warm { mapped })
+        | None -> (None, Warm { mapped = false })
       else
-        Nd_trace.with_span "snapshot.stor" (fun () ->
-            decode_stor s
-              (find_section sections "STOR")
-              ~meta
-              ~map_fd:(if mappable then Some fd else None))
-    in
-    match image with
-    | Some (img, mapped) -> (
-        (* the STOR banks carry the whole cache: CACH stays untouched *)
-        match
-          Nd_trace.with_span "snapshot.import" (fun () ->
-              Nd_engine.Persist.import_with_image ~graph ~query payload img)
-        with
-        | Ok eng ->
-            Metrics.incr m_loads;
-            Metrics.incr m_warm;
-            if mapped then Metrics.incr m_mapped;
-            (eng, Warm { mapped })
-        | Error m -> corrupt (Decode ("import rejected store image: " ^ m)))
-    | None -> (
         let cache : Nd_engine.Persist.cache_payload option =
-          Nd_trace.with_span "snapshot.unmarshal" (fun () ->
-              unmarshal (find_section sections "CACH"))
+          unmarshal (find_section sections "CACH")
         in
-        match
-          Nd_trace.with_span "snapshot.import" (fun () ->
-              Nd_engine.Persist.import ~graph ~query payload cache)
-        with
-        | Ok eng ->
-            Metrics.incr m_loads;
-            (eng, Replayed)
-        | Error m -> corrupt (Decode ("import rejected payload: " ^ m)))
+        match Option.map (Nd_engine.Persist.image_of_keys payload) cache with
+        | None | Some (Ok None) -> (None, Replayed)
+        | Some (Ok (Some img)) -> (Some img, Replayed)
+        | Some (Error m) -> corrupt (Decode ("cache key list rejected: " ^ m))
+    in
+    match
+      Nd_trace.with_span "snapshot.import" (fun () ->
+          Nd_engine.Persist.import ~graph ~query payload image)
+    with
+    | Ok eng ->
+        Metrics.incr m_loads;
+        (match route with
+        | Warm { mapped } ->
+            Metrics.incr m_warm;
+            if mapped then Metrics.incr m_mapped
+        | Replayed -> ());
+        (eng, route)
+    | Error m -> corrupt (Decode ("import rejected payload: " ^ m))
   with
   | result -> Ok result
   | exception C c -> Error c
@@ -694,7 +653,7 @@ type outcome = Loaded | Rebuilt of corruption
 
 let m_replayed = Metrics.counter "snapshot.journal_replayed"
 
-let load_or_rebuild ?epsilon ?metrics ?cache_limit ?budget ?paranoid ?warm
+let load_or_rebuild ?metrics ?cache_limit ?budget ?paranoid ?warm
     ?(journal = []) ~path graph query =
   match load ?warm ~path graph query with
   | Ok eng ->
@@ -708,7 +667,7 @@ let load_or_rebuild ?epsilon ?metrics ?cache_limit ?budget ?paranoid ?warm
       Metrics.incr m_fallbacks;
       let g = List.fold_left Cgraph.apply graph journal in
       let eng =
-        Nd_engine.prepare ?epsilon ?metrics ?cache_limit ?budget ?paranoid g
+        Nd_engine.prepare ?metrics ?cache_limit ?budget ?paranoid g
           query
       in
       (eng, Rebuilt c)

@@ -3,47 +3,55 @@
     Theorem 2.3's preprocessing is pseudo-linear in [|G|] with a
     non-elementary constant in the query — far too expensive to redo on
     every process start.  A snapshot persists the whole preprocessing
-    product of a prepared {!Nd_engine.t} (the Theorem 3.1 register-trie
-    solution cache, cover/kernel structures, distance index and skip
-    pointers, via {!Nd_engine.Persist}) in a versioned, checksummed
-    binary file, so a fresh process {!load}s in milliseconds what
+    product of a prepared {!Nd_engine.t} (cover/kernel structures,
+    distance index and skip pointers, plus the engine's solution cache,
+    via {!Nd_engine.Persist}) in a versioned, checksummed binary file,
+    so a fresh process {!load}s in milliseconds what
     {!Nd_engine.prepare} computes in seconds.
 
-    {2 File format (version 3)}
+    {2 File format (version 4)}
 
     {v
     +----------------------+
     | magic    "FODBSNAP"  |  8 bytes
-    | version  u32 LE      |  4 bytes  (= 3; 2 still readable)
-    | sections u32 LE      |  4 bytes  (= 4; 3 in version 2)
+    | version  u32 LE      |  4 bytes  (= 4; 2 and 3 still readable)
+    | sections u32 LE      |  4 bytes  (= 3; 4 in version 3)
     +----------------------+
     | tag "META" | len u32 | crc32 u32 | payload …
     | tag "ENGN" | len u32 | crc32 u32 | payload …
-    | tag "CACH" | len u32 | crc32 u32 | payload …
-    | tag "STOR" | len u32 | crc32 u32 | payload …   (version ≥ 3)
+    | tag "ROWS" | len u32 | crc32 u32 | payload …
     +----------------------+  exact EOF — trailing bytes are corruption
     v}
 
     [META] is a hand-rolled, version-stable record: builder OCaml
-    version, query text + hash, arity, epsilon, graph fingerprint
-    (n, m, colors, order-insensitive edge/color hash), the graph's
-    {e mutation epoch} ({!Nd_graph.Cgraph.epoch} — new in version 2),
-    creation time, cached-solution count.  [ENGN] and [CACH] are
-    marshaled {!Nd_engine.Persist} values.
+    version, query text + hash, arity, graph fingerprint (n, m,
+    colors, order-insensitive edge/color hash), the graph's {e mutation
+    epoch} ({!Nd_graph.Cgraph.epoch} — new in version 2), creation
+    time, cached-solution count.  [ENGN] is the marshaled
+    {!Nd_engine.Persist.payload}.
 
-    [STOR] (new in version 3) is the flat Theorem 3.1 store dumped as
-    raw register banks: a hand-rolled header (geometry, cardinality,
-    cache limit, frontier state), the tag bytes, then the payload bank
-    and key arena as little-endian 8-byte words, padded so the word
-    region sits 8-byte-aligned {e in the file}.  A warm load adopts
-    those pages directly — on a 64-bit little-endian host by
-    [Unix.map_file] (private copy-on-write mapping, so the live store
-    never writes back), elsewhere by a straight byte copy — and in
-    either case the image is re-vetted register by register
-    ({!Nd_ram.Store.Raw.import_unit}) before it becomes a live store.
-    [CACH] is retained as the portable fallback rung: [load ~warm:false],
-    version-2 files, and store-less snapshots all replay it through
-    [Store.add].
+    [ROWS] (new in version 4) is the engine's solution cache as a raw
+    row dump: a hand-rolled little-endian header (a present flag, row
+    width k, row count, cache limit, the full/complete/frontier flags
+    and the frontier), then the rows as 8-byte little-endian words,
+    padded so they sit 8-byte-aligned {e in the file}.  A warm load
+    adopts those words directly — on a 64-bit little-endian host by
+    [Unix.map_file] (private copy-on-write mapping, so the live cache
+    never writes back), elsewhere by a straight copy — and in either
+    case every row is vetted ({!Nd_engine.Persist.import}) before the
+    cache serves.  ROWS is the only copy of the cache in a version-4
+    file.
+
+    {2 Older versions}
+
+    Versions 2 and 3 carry the cache as [CACH], a marshaled key list
+    after ENGN, which a load packs into rows and vets the same way.
+    Their META also holds an f64 epsilon after the arity, and their
+    ENGN is {!Nd_engine.Persist.legacy_payload}: the epsilon that sized
+    the Theorem 3.1 store the cache used to live in.  It is read and
+    ignored.  Version 3 appends a [STOR] section (that store's register
+    banks); it is checksummed like every section and otherwise
+    ignored.
 
     {2 The corruption → fallback ladder}
 
@@ -93,9 +101,9 @@ val save : ?format:int -> path:string -> Nd_engine.t -> int
 (** Serialize a prepared handle; returns the bytes written.  The write
     is atomic (temp file + rename), so a crash mid-save leaves either
     the old snapshot or none — never a torn file at [path].
-    [format] (default 3) selects the file format; [~format:2] writes
-    the previous layout without the STOR section, for readers of that
-    vintage.
+    [format] (default 4) selects the file format; [~format:2] writes
+    the version-2 layout (CACH key list, legacy ENGN and META with
+    epsilon 0.5), for readers of that vintage.
     @raise Invalid_argument on an unsupported format.
     @raise Nd_error.User_error on a degraded handle ({!Nd_engine.Persist.export}).
     @raise Sys_error on I/O failure. *)
@@ -110,16 +118,17 @@ val load :
     [Error], nothing was deserialized into a live handle.  [Sys_error]
     (unreadable file) is folded into [Truncated].
 
-    [warm] (default [true]) permits the STOR fast path: the store is
-    adopted from its serialized banks (memory-mapped when the host
-    allows) instead of replaying the CACH key list.  [~warm:false]
-    forces the replay rung — same resulting handle, portable speed. *)
+    [warm] (default [true]) lets a version-4 load memory-map the ROWS
+    words when the host allows.  [~warm:false] copies them instead —
+    the portable path, same resulting handle.  Version 2 and 3 files
+    always rebuild the rows from their CACH key list. *)
 
 type route =
-  | Replayed  (** CACH key list replayed through [Store.add]. *)
+  | Replayed  (** Cache rows rebuilt from a v2/v3 CACH key list. *)
   | Warm of { mapped : bool }
-      (** STOR banks adopted; [mapped] tells pages were memory-mapped
-          rather than copied. *)
+      (** ROWS words adopted; [mapped] tells they were memory-mapped
+          rather than copied.  A row-less version-4 file reports
+          [mapped = false]. *)
 
 val describe_route : route -> string
 
@@ -129,7 +138,10 @@ val load_routed :
   Nd_graph.Cgraph.t ->
   Nd_logic.Fo.t ->
   (Nd_engine.t * route, corruption) result
-(** {!load}, also reporting which rung revived the solution cache. *)
+(** {!load}, also reporting which rung revived the solution cache.  The
+    revival itself (ROWS decode, or CACH unmarshal and packing) runs
+    inside a [snapshot.cache] trace span, which the ST bench row reads
+    to time that step alone. *)
 
 type outcome =
   | Loaded  (** The snapshot verified end-to-end. *)
@@ -138,7 +150,6 @@ type outcome =
           from scratch with {!Nd_engine.prepare}. *)
 
 val load_or_rebuild :
-  ?epsilon:float ->
   ?metrics:bool ->
   ?cache_limit:int ->
   ?budget:Nd_util.Budget.t ->
@@ -153,7 +164,7 @@ val load_or_rebuild :
     corruption to a fresh budgeted {!Nd_engine.prepare} (which itself
     degrades further to the naive-backed handle if the budget trips).
     The optional parameters govern only the rebuild path; a successful
-    load keeps the snapshot's own epsilon and cache.
+    load keeps the snapshot's own cache and cache limit.
 
     [journal] (default [[]]) is the mutation log recorded since the
     snapshot was saved, in application order.  The presented [graph]
@@ -176,13 +187,12 @@ type section = {
 type info = {
   version : int;
   warmable : bool;
-      (** A STOR section is present with a store image and this host
-          can memory-map its bank pages. *)
+      (** A ROWS section is present with cache rows and this host can
+          memory-map them. *)
   ocaml_version : string;
   query : string;
   query_hash : int;
   arity : int;
-  epsilon : float;
   graph_n : int;
   graph_m : int;
   graph_colors : int;
@@ -202,3 +212,7 @@ val info : path:string -> (info, corruption) result
 (** Full verification of header + all CRCs + META decode, without
     deserializing the engine sections.  What [fodb snapshot info]
     prints. *)
+
+val describe_warm : info -> string
+(** The [warm store:] verdict [fodb snapshot info] prints: ["yes …"]
+    when {!info.warmable}, otherwise ["no (…)"] with the reason. *)

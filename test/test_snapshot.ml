@@ -333,16 +333,16 @@ let test_info_and_layout () =
   (match Snap.layout ~path with
   | Ok sections ->
       Alcotest.(check (list string)) "section order"
-        [ "META"; "ENGN"; "CACH"; "STOR" ]
+        [ "META"; "ENGN"; "ROWS" ]
         (List.map (fun s -> s.Snap.tag) sections);
-      let last = List.nth sections 3 in
+      let last = List.nth sections 2 in
       Alcotest.(check int) "sections tile the file" bytes
         (last.Snap.off + last.Snap.len)
   | Error c -> Alcotest.failf "layout: %s" (Snap.describe c));
   match Snap.info ~path with
   | Error c -> Alcotest.failf "info: %s" (Snap.describe c)
   | Ok i ->
-      Alcotest.(check int) "version" 3 i.Snap.version;
+      Alcotest.(check int) "version" 4 i.Snap.version;
       Alcotest.(check bool) "warmable on this host"
         (Sys.int_size = 63 && not Sys.big_endian)
         i.Snap.warmable;
@@ -451,7 +451,7 @@ let test_journal_replay () =
   Alcotest.(check bool) "rebuilt answers" true
     (Nd_engine.to_list eng2 = Nd_engine.to_list (Nd_engine.prepare g' phi))
 
-(* ---------------- version-3 warm store (STOR section) ---------------- *)
+(* ---------------- version-4 warm cache (ROWS section) ---------------- *)
 
 let host_mappable = Sys.int_size = 63 && not Sys.big_endian
 
@@ -467,13 +467,13 @@ let test_warm_routes () =
       | Snap.Warm { mapped } ->
           if host_mappable then
             Alcotest.(check bool) "banks memory-mapped" true mapped
-      | Snap.Replayed -> Alcotest.fail "v3 snapshot took the replay rung");
-      (* the warm handle and the replay handle answer identically *)
+      | Snap.Replayed -> Alcotest.fail "v4 snapshot took the replay rung");
+      (* the mapped handle and the copied handle answer identically *)
       match Snap.load_routed ~warm:false ~path g phi with
-      | Error c -> Alcotest.failf "replay load rejected: %s" (Snap.describe c)
+      | Error c -> Alcotest.failf "copying load rejected: %s" (Snap.describe c)
       | Ok (cold_eng, cold_route) ->
-          Alcotest.(check bool) "warm:false replays" true
-            (cold_route = Snap.Replayed);
+          Alcotest.(check bool) "warm:false copies the rows" true
+            (cold_route = Snap.Warm { mapped = false });
           Alcotest.(check int) "cache sizes agree"
             (Nd_engine.cache_size cold_eng)
             (Nd_engine.cache_size warm_eng);
@@ -481,7 +481,7 @@ let test_warm_routes () =
             (Nd_engine.to_list warm_eng = Nd_engine.to_list cold_eng))
 
 let test_warm_store_stays_live () =
-  (* an adopted (possibly mapped) store must stay fully live — cache
+  (* an adopted (possibly mapped) row bank must stay fully live — cache
      growth and invalidation write to private pages, never the file *)
   with_tmp @@ fun path ->
   let g, phi, eng = make_reference () in
@@ -492,13 +492,13 @@ let test_warm_store_stays_live () =
     | Ok e -> e
     | Error c -> Alcotest.failf "load: %s" (Snap.describe c)
   in
-  (* enumerate everything: grows the revived store well past the
+  (* enumerate everything: grows the revived bank well past the
      snapshotted prefix *)
   let all = Nd_engine.to_list loaded in
   Alcotest.(check bool) "serves after revival" true (List.length all > 0);
   Alcotest.(check bool) "complete after full sweep" true
     (Nd_engine.cache_complete loaded);
-  (* mutate: invalidation + maintenance on the adopted store *)
+  (* mutate: invalidation + maintenance on the adopted bank *)
   let mut = Cgraph.Add_edge (0, 24) in
   Nd_engine.update loaded mut;
   let g' = Cgraph.apply g mut in
@@ -518,7 +518,12 @@ let test_v2_format_compat () =
         (List.map (fun s -> s.Snap.tag) sections);
       let last = List.nth sections 2 in
       Alcotest.(check int) "v2 sections tile the file" bytes
-        (last.Snap.off + last.Snap.len)
+        (last.Snap.off + last.Snap.len);
+      (* Marshal reads records by field position, so files written
+         before epsilon left the payload need the six-field record *)
+      let engn = List.nth sections 1 in
+      Alcotest.(check int) "v2 ENGN keeps the legacy record" 6
+        (Obj.size (Obj.repr (Marshal.from_string (Disk.read path) engn.Snap.off)))
   | Error c -> Alcotest.failf "v2 layout: %s" (Snap.describe c));
   (match Snap.info ~path with
   | Ok i ->
@@ -536,10 +541,75 @@ let test_v2_format_compat () =
       Alcotest.(check bool) "v2 answers" true
         (Nd_engine.to_list loaded = Nd_engine.to_list eng)
 
-(* STOR payload layout (see nd_snapshot.mli): present(4) n,k,d,h(16)
-   epsilon(8) free,card,klen,vlen,limit(20) full,complete,fset(12) —
-   60 fixed bytes — then k×u32 frontier, free tag bytes, u32 pad,
-   pad zeros, then the 8-aligned i64 banks. *)
+(* A version-3 file, built from a v2 one: v3 was the v2 layout plus a
+   trailing STOR section (the old store's register banks), which a v4
+   reader checksums and otherwise ignores.  Built here rather than
+   committed: META pins the OCaml version that wrote the file. *)
+let put_u32_buf b v =
+  for i = 0 to 3 do
+    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xFF))
+  done
+
+let v3_of_v2 v2 =
+  let stor = "\001\000\000\000" ^ String.init 60 (fun i -> Char.chr (i * 7 land 0xFF)) in
+  let b = Buffer.create (String.length v2 + 128) in
+  Buffer.add_string b (String.sub v2 0 8);
+  put_u32_buf b 3;
+  put_u32_buf b 4;
+  Buffer.add_string b (String.sub v2 16 (String.length v2 - 16));
+  Buffer.add_string b "STOR";
+  put_u32_buf b (String.length stor);
+  put_u32_buf b (Nd_util.Crc32.string stor);
+  Buffer.add_string b stor;
+  Buffer.contents b
+
+let test_v3_format_compat () =
+  with_tmp @@ fun path ->
+  let g, phi, eng = make_reference () in
+  ignore (Snap.save ~format:2 ~path eng);
+  Disk.write path (v3_of_v2 (Disk.read path));
+  (match Snap.layout ~path with
+  | Ok sections ->
+      Alcotest.(check (list string)) "v3 section order"
+        [ "META"; "ENGN"; "CACH"; "STOR" ]
+        (List.map (fun s -> s.Snap.tag) sections)
+  | Error c -> Alcotest.failf "v3 layout: %s" (Snap.describe c));
+  (match Snap.info ~path with
+  | Ok i ->
+      Alcotest.(check int) "v3 version" 3 i.Snap.version;
+      Alcotest.(check bool) "v3 never warmable" false i.Snap.warmable;
+      Alcotest.(check bool) "info prints warm store: no" true
+        (String.starts_with ~prefix:"no " (Snap.describe_warm i))
+  | Error c -> Alcotest.failf "v3 info: %s" (Snap.describe c));
+  (match Snap.load_routed ~path g phi with
+  | Error c -> Alcotest.failf "v3 load rejected: %s" (Snap.describe c)
+  | Ok (loaded, route) ->
+      Alcotest.(check bool) "v3 loads via replay" true (route = Snap.Replayed);
+      Alcotest.(check int) "v3 cache revived" (Nd_engine.cache_size eng)
+        (Nd_engine.cache_size loaded);
+      List.iter
+        (fun t ->
+          Alcotest.(check bool) "v3 next" true
+            (Nd_engine.next loaded t = Nd_engine.next eng t);
+          Alcotest.(check bool) "v3 test" true
+            (Nd_engine.test loaded t = Nd_engine.test eng t))
+        (probe_tuples g 2);
+      Alcotest.(check bool) "v3 answers" true
+        (Nd_engine.to_list loaded = Nd_engine.to_list eng));
+  (* the ignored STOR section is still checksummed *)
+  let stor =
+    match Snap.layout ~path with
+    | Ok sections -> List.find (fun s -> s.Snap.tag = "STOR") sections
+    | Error c -> Alcotest.failf "layout: %s" (Snap.describe c)
+  in
+  Disk.flip_bit path ~byte:(stor.Snap.off + 9) ~bit:1;
+  match expect_rejected "v3 stor bit flip" path g phi with
+  | Snap.Checksum { section = "STOR" } -> ()
+  | c -> Alcotest.failf "expected STOR checksum, got %s" (Snap.describe c)
+
+(* ROWS payload layout (see nd_snapshot.mli): present, k, count, limit,
+   full, complete, frontier_set (7 × u32 = 28 bytes), k × u32 frontier,
+   u32 pad, pad zeros, then count·k 8-aligned i64 row words. *)
 
 let u32_at s pos =
   Char.code s.[pos]
@@ -552,9 +622,9 @@ let put_u32_bytes b pos v =
     Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
   done
 
-let stor_section path =
+let rows_section path =
   match Snap.layout ~path with
-  | Ok sections -> List.find (fun s -> s.Snap.tag = "STOR") sections
+  | Ok sections -> List.find (fun s -> s.Snap.tag = "ROWS") sections
   | Error c -> Alcotest.failf "layout: %s" (Snap.describe c)
 
 (* after a deliberate payload edit, restore the section CRC so the
@@ -567,82 +637,95 @@ let recrc path sec =
   put_u32_bytes b (sec.Snap.off - 4) crc;
   Disk.write path (Bytes.to_string b)
 
-let test_stor_corruption_ladder () =
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_rows_corruption_ladder () =
   with_tmp @@ fun path ->
   let g, phi, eng = make_reference () in
-  let expected = Nd_engine.to_list eng in
+  (* answers from a separate handle: [eng] keeps its 10-row prefix, so
+     a complete flag set on its rows is a lie the vetting must catch *)
+  let expected = Nd_engine.to_list (Nd_engine.prepare g phi) in
   ignore (Snap.save ~path eng);
   let original = Disk.read path in
-  let sec = stor_section path in
+  let sec = rows_section path in
   let off = sec.Snap.off in
-  let k = u32_at original (off + 8) in
-  let d = u32_at original (off + 12) in
-  let free = u32_at original (off + 28) in
-  let klen = u32_at original (off + 36) in
-  Alcotest.(check bool) "store image present" true (u32_at original off = 1);
-  Alcotest.(check bool) "frontier recorded" true
-    (u32_at original (off + 56) = 1);
-  Alcotest.(check bool) "keys interned" true (klen > 0);
-  let tags_off = off + 60 + (4 * k) in
-  let pad_off = tags_off + free in
-  let bank_off = pad_off + 4 + u32_at original pad_off in
-  Alcotest.(check int) "banks 8-aligned in the file" 0 (bank_off mod 8);
-  (* rung 1: raw bit damage inside STOR → the checksum refuses *)
-  Disk.flip_bit path ~byte:(tags_off + 1) ~bit:2;
-  (match expect_rejected "stor bit flip" path g phi with
-  | Snap.Checksum { section = "STOR" } -> ()
-  | c -> Alcotest.failf "expected STOR checksum, got %s" (Snap.describe c));
-  (* rung 2: truncation mid-bank → the structural parse refuses *)
+  let k = u32_at original (off + 4) in
+  let count = u32_at original (off + 8) in
+  Alcotest.(check bool) "cache rows present" true (u32_at original off = 1);
+  Alcotest.(check int) "row width" 2 k;
+  Alcotest.(check bool) "frontier recorded" true (u32_at original (off + 24) = 1);
+  Alcotest.(check bool) "several rows" true (count >= 2);
+  let frontier_off = off + 28 in
+  let pad_off = frontier_off + (4 * k) in
+  let rows_off = pad_off + 4 + u32_at original pad_off in
+  let word i = rows_off + (8 * i) in
+  Alcotest.(check int) "rows 8-aligned in the file" 0 (rows_off mod 8);
+  Alcotest.(check int) "rows tile the section" (off + sec.Snap.len)
+    (word (count * k));
+  (* rung 1: raw bit damage inside ROWS → the checksum refuses *)
+  Disk.flip_bit path ~byte:(word 1) ~bit:2;
+  (match expect_rejected "rows bit flip" path g phi with
+  | Snap.Checksum { section = "ROWS" } -> ()
+  | c -> Alcotest.failf "expected ROWS checksum, got %s" (Snap.describe c));
+  (* rung 2: truncation mid-rows → the structural parse refuses *)
   Disk.write path original;
-  Disk.truncate_at path (bank_off + 4);
-  (match expect_rejected "stor truncation" path g phi with
+  Disk.truncate_at path (word 1 + 4);
+  (match expect_rejected "rows truncation" path g phi with
   | Snap.Truncated _ -> ()
   | c -> Alcotest.failf "expected Truncated, got %s" (Snap.describe c));
-  (* rung 3: coherent damage (CRC recomputed) → register vetting refuses *)
-  Disk.write path original;
-  let b = Bytes.of_string original in
-  Bytes.set b (tags_off + 1) '\009' (* unknown tag on register 1 *);
-  Disk.write path (Bytes.to_string b);
-  recrc path sec;
-  (match expect_rejected "unknown tag" path g phi with
-  | Snap.Decode _ -> ()
-  | c -> Alcotest.failf "expected Decode, got %s" (Snap.describe c));
-  (* ...but the replay rung ignores STOR entirely and still serves *)
-  (match Snap.load_routed ~warm:false ~path g phi with
-  | Ok (e, Snap.Replayed) ->
-      Alcotest.(check bool) "replay rung unaffected" true
-        (Nd_engine.to_list e = expected)
-  | Ok (_, _) -> Alcotest.fail "expected the replay route"
-  | Error c ->
-      Alcotest.failf "replay rung rejected: %s" (Snap.describe c));
-  (* rung 4: swapped banks — the root's parent word (-1) lands in the
-     key arena and a vertex lands where -1 belongs; CRC recomputed,
-     arena vetting refuses *)
-  Disk.write path original;
-  let karena_off = bank_off + (free * 8) in
-  let root_parent_word = bank_off + ((1 + d) * 8) in
-  Disk.swap_ranges path (root_parent_word, 8) (karena_off, 8);
-  recrc path sec;
-  (match expect_rejected "swapped banks" path g phi with
-  | Snap.Decode _ -> ()
-  | c -> Alcotest.failf "expected Decode, got %s" (Snap.describe c));
-  (* rung 5: frontier outside the graph, CRC recomputed → the engine's
-     image cross-checks refuse *)
-  Disk.write path original;
-  let b = Bytes.of_string original in
-  put_u32_bytes b (off + 60) (Cgraph.n g + 7);
-  Disk.write path (Bytes.to_string b);
-  recrc path sec;
-  (match expect_rejected "wild frontier" path g phi with
-  | Snap.Decode _ -> ()
-  | c -> Alcotest.failf "expected Decode, got %s" (Snap.describe c));
-  (* every rung above lands load_or_rebuild on an exact rebuild *)
-  let rebuilt, outcome = Snap.load_or_rebuild ~path g phi in
-  (match outcome with
-  | Snap.Rebuilt _ -> ()
-  | Snap.Loaded -> Alcotest.fail "corrupt STOR loaded");
-  Alcotest.(check bool) "rebuilt handle exact" true
-    (Nd_engine.to_list rebuilt = expected)
+  (* rung 3: coherent damage (CRC recomputed) → vetting refuses with a
+     Decode naming the broken invariant, whether the rows are mapped or
+     copied, and load_or_rebuild lands on an exact rebuild *)
+  let coherent what ~reason edit =
+    Disk.write path original;
+    let b = Bytes.of_string original in
+    edit b;
+    Disk.write path (Bytes.to_string b);
+    recrc path sec;
+    List.iter
+      (fun warm ->
+        match Snap.load_routed ~warm ~path g phi with
+        | Error (Snap.Decode m) when contains m reason -> ()
+        | Error c ->
+            Alcotest.failf "%s (warm=%b): expected Decode (%s), got %s" what warm
+              reason (Snap.describe c)
+        | Ok _ -> Alcotest.failf "%s (warm=%b): corrupt ROWS loaded" what warm)
+      [ true; false ];
+    let rebuilt, outcome = Snap.load_or_rebuild ~path g phi in
+    (match outcome with
+    | Snap.Rebuilt _ -> ()
+    | Snap.Loaded -> Alcotest.failf "%s: corrupt ROWS loaded" what);
+    Alcotest.(check bool) (what ^ ": rebuilt handle exact") true
+      (Nd_engine.to_list rebuilt = expected)
+  in
+  let set_word b i v = Bytes.set_int64_le b (word i) (Int64.of_int v) in
+  coherent "rows out of order" ~reason:"not above its predecessor" (fun b ->
+      (* swap rows 0 and 1 *)
+      for j = 0 to k - 1 do
+        let x = Bytes.get_int64_le b (word j) in
+        Bytes.set_int64_le b (word j) (Bytes.get_int64_le b (word (k + j)));
+        Bytes.set_int64_le b (word (k + j)) x
+      done);
+  coherent "vertex >= n" ~reason:"vertex outside" (fun b ->
+      (* the last word of the last row: order is kept *)
+      set_word b ((count * k) - 1) (Cgraph.n g + 7));
+  coherent "count > limit" ~reason:"exceed the limit" (fun b ->
+      put_u32_bytes b (off + 12) (count - 1));
+  coherent "full flag" ~reason:"full flag" (fun b -> put_u32_bytes b (off + 16) 1);
+  coherent "complete flag" ~reason:"marked complete" (fun b ->
+      put_u32_bytes b (off + 20) 1);
+  coherent "frontier below the last row" ~reason:"below the last row" (fun b ->
+      for j = 0 to k - 1 do
+        put_u32_bytes b (frontier_off + (4 * j))
+          (Int64.to_int (Bytes.get_int64_le b (word j)))
+      done);
+  coherent "wild frontier" ~reason:"frontier outside" (fun b ->
+      put_u32_bytes b frontier_off (Cgraph.n g + 7));
+  coherent "k differs from META" ~reason:"arity differs from the META" (fun b ->
+      put_u32_bytes b (off + 4) (k + 1))
 
 let suite =
   [
@@ -682,11 +765,13 @@ let suite =
       test_info_and_layout;
     Alcotest.test_case "atomic overwrite + fingerprint" `Quick
       test_atomic_overwrite;
-    Alcotest.test_case "warm load routes (v3 STOR)" `Quick test_warm_routes;
+    Alcotest.test_case "warm load routes (v4 ROWS)" `Quick test_warm_routes;
     Alcotest.test_case "warm store stays live" `Quick
       test_warm_store_stays_live;
     Alcotest.test_case "v2 format still readable" `Quick
       test_v2_format_compat;
-    Alcotest.test_case "STOR corruption ladder" `Quick
-      test_stor_corruption_ladder;
+    Alcotest.test_case "v3 format read through CACH" `Quick
+      test_v3_format_compat;
+    Alcotest.test_case "ROWS corruption ladder" `Quick
+      test_rows_corruption_ladder;
   ]

@@ -294,6 +294,163 @@ let test_update_batch_journal () =
     (Nd_engine.epoch eng);
   check_engine_matches ~ctxt:"batch journal" eng g1 phi
 
+(* ---------------------------------------------------------------- *)
+(* Clip and cache differential: a cached handle driven through random
+   interleavings of next / test / pages / updates answers exactly like
+   a cache-less one, an update's eviction count is exactly the rows it
+   drops, and its clip costs one binary search. *)
+
+module Metrics = Nd_util.Metrics
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Metrics.counters ()))
+
+let ceil_log2 x =
+  let rec go b = if 1 lsl b >= x then b else go (b + 1) in
+  go 0
+
+(* ⌈log₂(len+1)⌉ comparisons for the lower bound, plus one of slack *)
+let probe_bound len = ceil_log2 (len + 1) + 1
+
+let with_metrics f =
+  let was = Metrics.enabled () in
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Metrics.disable ()) f
+
+(* one update on [eng], checking the eviction count and the probe bound *)
+let checked_update ~ctxt eng mut =
+  let len = Nd_engine.cache_size eng in
+  let ev0 = counter "engine.cache_evicted" and pr0 = counter "engine.cache_probes" in
+  Nd_engine.update eng mut;
+  let evicted = counter "engine.cache_evicted" - ev0 in
+  let probes = counter "engine.cache_probes" - pr0 in
+  if evicted <> len - Nd_engine.cache_size eng then
+    Alcotest.failf "%s: cache_evicted +%d, but the cache went %d -> %d" ctxt
+      evicted len (Nd_engine.cache_size eng);
+  if probes > probe_bound len then
+    Alcotest.failf "%s: update over %d rows made %d probes (bound %d)" ctxt len
+      probes (probe_bound len)
+
+let clip_specs =
+  [|
+    "grid:5x5"; "planar:4x4"; "tree:30"; "path:20"; "cycle:20"; "star:12";
+    "bdeg:30:3"; "ktree:20:2"; "subdiv:3"; "gnp:25:0.1";
+  |]
+
+let clip_queries =
+  [| "dist(x,y) <= 2"; "E(x,y) & C0(y)"; "dist(x,y) > 2 & C1(y)"; "C0(x)" |]
+
+let clip_limits = [| 1; 2; 17; 100_000 |]
+
+let clip_case (si, qi, li, seed) =
+  let spec = clip_specs.(si) and qs = clip_queries.(qi) and limit = clip_limits.(li) in
+  let ctxt = Printf.sprintf "%s / %s / limit %d / seed %d" spec qs limit seed in
+  let rng = Random.State.make [| seed |] in
+  let g = Gen.randomly_color ~seed ~colors:2 (Gen.of_spec ~seed spec) in
+  let phi = Parse.formula qs in
+  let eng = Nd_engine.prepare ~cache_limit:limit g phi in
+  let live = Nd_engine.prepare ~cache_limit:0 g phi in
+  let k = Nd_engine.arity eng in
+  let n = Cgraph.n g in
+  let tuple () = Array.init k (fun _ -> Random.State.int rng n) in
+  let agree what a b =
+    if a <> b then Alcotest.failf "%s: %s diverges from the cache-less handle" ctxt what
+  in
+  let page h a len =
+    let rec go a i acc =
+      if i = len then List.rev acc
+      else
+        match Nd_engine.next h a with
+        | None -> List.rev acc
+        | Some s -> (
+            match Nd_util.Tuple.succ ~n s with
+            | None -> List.rev (s :: acc)
+            | Some a' -> go a' (i + 1) (s :: acc))
+    in
+    go a 0 []
+  in
+  let g = ref g in
+  for step = 1 to 30 do
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 ->
+        let a = tuple () in
+        agree "next" (Nd_engine.next eng a) (Nd_engine.next live a)
+    | 3 | 4 ->
+        let a = tuple () in
+        agree "test" (Nd_engine.test eng a) (Nd_engine.test live a)
+    | 5 ->
+        let len = 1 + Random.State.int rng 40 in
+        agree "first page"
+          (Nd_engine.to_list ~limit:len eng)
+          (Nd_engine.to_list ~limit:len live)
+    | 6 | 7 ->
+        let a = tuple () and len = 1 + Random.State.int rng 20 in
+        agree "page" (page eng a len) (page live a len)
+    | _ ->
+        let mut = random_mutation rng !g in
+        checked_update
+          ~ctxt:(Printf.sprintf "%s step %d (%s)" ctxt step (Cgraph.mutation_to_string mut))
+          eng mut;
+        Nd_engine.update live mut;
+        g := Cgraph.apply !g mut
+  done;
+  agree "full enumeration" (Nd_engine.to_list eng) (Nd_engine.to_list live);
+  true
+
+let prop_clip_differential =
+  QCheck.Test.make ~count:80 ~name:"clip and cache differential (zoo x cache limits)"
+    QCheck.(
+      quad
+        (int_bound (Array.length clip_specs - 1))
+        (int_bound (Array.length clip_queries - 1))
+        (int_bound (Array.length clip_limits - 1))
+        (int_bound 1_000_000))
+    (fun case -> with_metrics (fun () -> clip_case case))
+
+(* The first write after a warm restore of a complete cache clips the
+   adopted (memory-mapped, where the host allows) bank: one search,
+   and the handle then answers like a fresh prepare. *)
+let test_first_write_after_warm_restore () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nd_update_test_%d.snap" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let g0 = Gen.randomly_color ~seed:11 ~colors:2 (Gen.planar_grid ~seed:4 16 16) in
+  let phi = Parse.formula "dist(x,y) <= 2" in
+  let eng = Nd_engine.prepare g0 phi in
+  ignore (Nd_engine.to_list eng);
+  Alcotest.(check bool) "cache complete" true (Nd_engine.cache_complete eng);
+  let size = Nd_engine.cache_size eng in
+  ignore (Nd_snapshot.save ~path eng);
+  let loaded =
+    match Nd_snapshot.load_routed ~path g0 phi with
+    | Ok (e, Nd_snapshot.Warm _) -> e
+    | Ok (_, Nd_snapshot.Replayed) -> Alcotest.fail "restore took the replay rung"
+    | Error c -> Alcotest.failf "restore: %s" (Nd_snapshot.describe c)
+  in
+  Alcotest.(check bool) "restored complete" true (Nd_engine.cache_complete loaded);
+  (* a write far from vertex 0: the clip keeps a clean prefix *)
+  let mut = Cgraph.Add_edge (200, 230) in
+  with_metrics (fun () -> checked_update ~ctxt:"first write after restore" loaded mut);
+  let g1 = Cgraph.apply g0 mut in
+  Alcotest.(check bool) "no longer complete" false (Nd_engine.cache_complete loaded);
+  Alcotest.(check bool)
+    (Printf.sprintf "clipped, not dropped (%d -> %d rows)" size
+       (Nd_engine.cache_size loaded))
+    true
+    (Nd_engine.cache_size loaded > 0 && Nd_engine.cache_size loaded < size);
+  check_engine_matches ~ctxt:"first write after restore" loaded g1 phi;
+  let fresh = Nd_engine.prepare g1 phi in
+  let n = Cgraph.n g1 in
+  for a = 0 to n - 1 do
+    let t = [| a; (a * 7) mod n |] in
+    if Nd_engine.next loaded t <> Nd_engine.next fresh t
+       || Nd_engine.test loaded t <> Nd_engine.test fresh t
+    then Alcotest.failf "restored handle diverges at %s" (Nd_util.Tuple.to_string t)
+  done
+
 let suite =
   [
     Alcotest.test_case "apply is persistent + epoch" `Quick test_apply_is_persistent;
@@ -307,4 +464,7 @@ let suite =
     Alcotest.test_case "sentence handle re-checks" `Quick test_sentence_update;
     Alcotest.test_case "update validates mutations" `Quick test_update_validates;
     Alcotest.test_case "batch journal replay" `Quick test_update_batch_journal;
+    QCheck_alcotest.to_alcotest prop_clip_differential;
+    Alcotest.test_case "first write after a warm restore" `Quick
+      test_first_write_after_warm_restore;
   ]
